@@ -1,11 +1,8 @@
 """Unified safety/liveness classification, decomposition, machine
 closure, and the paper's tables as reports.
 
-:func:`decompose` is the one decomposition entry point (see
-:mod:`repro.analysis.decompose` for the dispatch table).  The deprecated
-per-kind spellings (``decompose_element`` and friends) are still
-importable from :mod:`repro.analysis.classify` but are deliberately kept
-out of ``__all__`` (checks rule RC006)."""
+:func:`decompose` is the one decomposition entry point for every domain
+(see :mod:`repro.analysis.decompose` for the dispatch table)."""
 
 from .classify import (
     PropertyClass,
@@ -13,9 +10,6 @@ from .classify import (
     classify_element,
     classify_formula,
     classify_rabin_on_samples,
-    decompose_automaton,  # noqa: F401 — deprecated shim, importable not exported
-    decompose_element,  # noqa: F401 — deprecated shim, importable not exported
-    decompose_formula,  # noqa: F401 — deprecated shim, importable not exported
 )
 from .decompose import BoundDecomposition, Decomposition, decompose
 from .machine_closure import (

@@ -2,8 +2,8 @@
 
 The paper proves the *same* theorem four times — Theorem 2/3 on lattices,
 §2.4 on Büchi automata, Theorem 9 on Rabin tree automata, and the LTL
-instance via translation — and historically the repo mirrored that with
-five divergent entry points.  This module is the single front door:
+instance via translation.  This module is the single front door to all
+of them:
 
     >>> from repro.analysis import decompose
     >>> d = decompose(automaton)                  # Büchi or Rabin
@@ -15,8 +15,8 @@ five divergent entry points.  This module is the single front door:
 Every branch returns an object satisfying the :class:`Decomposition`
 protocol — ``.safety``, ``.liveness`` and ``.verify(witness)`` — so
 callers (and the :mod:`repro.service` handlers) never need to know which
-framework produced the result.  The old per-package spellings remain as
-deprecated shims forwarding here.
+framework produced the result.  A new domain adds one dispatch branch
+here and nothing else.
 """
 
 from __future__ import annotations

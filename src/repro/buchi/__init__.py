@@ -21,7 +21,7 @@ from .complement import (
     complement_rank_based,
     complement_safety,
 )
-from .decomposition import BuchiDecomposition, decompose
+from .decomposition import BuchiDecomposition
 from .extremal import (
     canonical_is_extremal,
     strongest_safety_violation,

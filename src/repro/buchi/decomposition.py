@@ -19,7 +19,6 @@ disjoint-sum core.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 from repro.obs.metrics import REGISTRY
@@ -160,15 +159,3 @@ def _decompose(automaton: BuchiAutomaton) -> BuchiDecomposition:
     liveness, safety = renamed_liveness, renamed_safety
     _DECOMPOSITIONS.add()
     return BuchiDecomposition(original=automaton, safety=safety, liveness=liveness)
-
-
-def decompose(automaton: BuchiAutomaton) -> BuchiDecomposition:
-    """Deprecated spelling of the §2.4 decomposition — use
-    :func:`repro.analysis.decompose`."""
-    warnings.warn(
-        "repro.buchi.decomposition.decompose is deprecated; use "
-        "repro.analysis.decompose(automaton)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _decompose(automaton)

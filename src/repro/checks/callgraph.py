@@ -14,8 +14,10 @@ per-file half stays embarrassingly parallel:
    global symbol tables and resolves the descriptors into
    module-qualified function names.
 
-Precision is deliberately *one-hop*, matching RC006's resolver: a
-receiver's class is known when it is spelled at the call site's scope
+Precision is deliberately *one-hop*: an imported name resolves only
+when the import names the module that defines it, so re-export chains
+through package ``__init__`` files are not followed.  A receiver's
+class is known when it is spelled at the call site's scope
 (a parameter annotation, a local ``v = Cls(...)``, a ``self.attr``
 assigned a constructor in any method, or a module-level ``X = Cls()``
 — including one imported from another module), and method lookup

@@ -24,7 +24,6 @@ from .rules_layering import KernelLayeringRule
 from .rules_locks import LockDisciplineRule
 from .rules_metrics import MetricNamingRule
 from .rules_ops import OpsDisciplineRule
-from .rules_shims import DeprecatedShimExportRule
 from .rules_state import MutableModuleStateRule
 
 RULE_CLASSES = (
@@ -33,7 +32,6 @@ RULE_CLASSES = (
     ImportHygieneRule,
     ApiSurfaceRule,
     MutableModuleStateRule,
-    DeprecatedShimExportRule,
     KernelLayeringRule,
     CertVerifierIndependenceRule,
     OpsDisciplineRule,

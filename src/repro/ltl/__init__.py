@@ -1,7 +1,7 @@
 """Linear Temporal Logic: syntax, lasso semantics, Büchi translation,
 and the safety/liveness classifier (paper §2.2–2.3)."""
 
-from .classify import Classification, PropertyClass, classify, decompose_formula
+from .classify import Classification, PropertyClass, classify
 from .fragments import (
     is_syntactically_cosafe,
     is_syntactically_safe,

@@ -9,7 +9,6 @@ the closure operator, and test ``L = cl.L`` (safety) / ``cl.L = Σ^ω``
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 
@@ -89,15 +88,3 @@ def _decompose_formula(formula: Formula, alphabet):
     returns the :class:`~repro.buchi.decomposition.BuchiDecomposition`
     of its automaton (safety automaton ∩ liveness automaton = models)."""
     return _buchi_decompose(translate(formula, alphabet))
-
-
-def decompose_formula(formula: Formula, alphabet):
-    """Deprecated spelling — use
-    :func:`repro.analysis.decompose` with ``alphabet=``."""
-    warnings.warn(
-        "repro.ltl.classify.decompose_formula is deprecated; use "
-        "repro.analysis.decompose(formula, alphabet=alphabet)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _decompose_formula(formula, alphabet)

@@ -5,8 +5,8 @@ a running deployment gets asked: *what are you doing right now, which
 requests are slow and why, and are you healthy enough to route to?*
 Four pillars (DESIGN.md §11):
 
-* **Request contexts** — :class:`repro.obs.context.RequestContext`
-  (re-exported here), created per request by
+* **Request contexts** — :class:`repro.obs.context.RequestContext`,
+  created per request by
   :class:`~repro.service.server.AnalysisService`, carried across the
   worker pool, and fed by every kernel
   :class:`~repro.obs.profile.PhaseTimer`, so each request's wall time
@@ -40,8 +40,6 @@ Quick start::
     print(ops.url)                       # scrape /metrics, hit /readyz
 """
 
-from repro.obs.context import RequestContext, current_context, use_context
-
 from .http import OpsServer, start_ops_server
 from .journal import (
     DEBUG,
@@ -60,9 +58,6 @@ from .journal import (
 from .sampler import SamplingProfiler, profile_for
 
 __all__ = [
-    "RequestContext",
-    "current_context",
-    "use_context",
     "EventJournal",
     "Event",
     "JournalError",

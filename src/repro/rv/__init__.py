@@ -43,7 +43,6 @@ from .compile import (
     DEFAULT_CACHE,
     DecomposedMonitor,
     MonitorTable,
-    SubsetTable,
     canonical_key,
     compile_formula,
 )
@@ -58,7 +57,6 @@ __all__ = [
     "Verdict4",
     "MonitorOutcome",
     "most_severe",
-    "SubsetTable",
     "BoundTracker",
     "MonitorTable",
     "DecomposedMonitor",

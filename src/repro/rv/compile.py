@@ -9,8 +9,8 @@ machinery that can actually decide it on a finite prefix:
   :class:`SubsetTable` falsifier — bad prefixes of ``cl(L)`` and of
   ``L`` coincide (a prefix is extendable into ``cl(L)`` iff it is a
   prefix of some word of ``L``), so the product of the ``φ``-side and
-  ``¬φ``-side subset tables issues verdicts bit-identical to the PR-1
-  direct construction;
+  ``¬φ``-side subset tables issues verdicts bit-identical to the direct
+  ``translate() → table`` construction;
 * the **liveness conjunct** ``A_φ ∪ ¬cl(A_φ)`` feeds a new
   :class:`BoundTracker` — its determinized live-restricted subset run
   with a *good* flag per edge (taking the edge validates an accepting
@@ -25,15 +25,15 @@ The classes:
   Büchi automaton, determinized once into dense integer tables.  One
   event step is two list indexings.  The empty subset is materialized as
   an absorbing dead state, so stepping never branches.  It lives in
-  :mod:`repro.buchi.subset` (re-exported here) so that enforcement's
-  truncation monitors can share it without importing this pipeline.
+  :mod:`repro.buchi.subset` so that enforcement's truncation monitors
+  can share it without importing this pipeline.
 * :class:`MonitorTable` — the product of two subset tables with a
   three-valued verdict attached to every state; definite verdicts are
-  absorbing.  The direct (decomposition-bypassing) constructor survives
-  only as the deprecated :meth:`MonitorTable.compile_direct` shim.
+  absorbing.
 * :class:`DecomposedMonitor` — a :class:`MonitorTable` plus the
-  :class:`BoundTracker` of the liveness conjunct; what
-  :meth:`MonitorTable.compile` and the :class:`CompileCache` now emit.
+  :class:`BoundTracker` of the liveness conjunct;
+  :meth:`DecomposedMonitor.compile` is the one compilation path, and
+  what the :class:`CompileCache` emits.
 * :class:`CompileCache` — an LRU keyed by the *canonical* formula
   (simplified, negation normal form) and alphabet, with hit/miss
   counters, so a fleet of sessions over the same policy compiles it
@@ -44,7 +44,6 @@ The classes:
 from __future__ import annotations
 
 import threading
-import warnings
 from collections import OrderedDict
 from types import MappingProxyType
 from collections.abc import Iterable
@@ -57,7 +56,6 @@ from repro.buchi.subset import SubsetTable
 from repro.ltl.monitoring import Verdict3
 from repro.ltl.simplify import simplify
 from repro.ltl.syntax import Formula, Not, nnf_over_alphabet
-from repro.ltl.translate import translate
 from repro.obs.metrics import REGISTRY
 from repro.obs.profile import PhaseTimer
 
@@ -76,7 +74,7 @@ _CACHE_MISSES = REGISTRY.counter(
     "repro_rv_compile_cache_misses_total", "compile-cache misses across all caches"
 )
 _TABLES_COMPILED = REGISTRY.counter(
-    "repro_rv_tables_compiled_total", "MonitorTable.compile() runs"
+    "repro_rv_tables_compiled_total", "DecomposedMonitor.compile() runs"
 )
 _TABLE_STATES = REGISTRY.histogram(
     "repro_rv_table_states_count", "product-table states per compiled monitor"
@@ -170,8 +168,7 @@ class MonitorTable:
     provably unchanged: a prefix has an extension in ``cl(L)`` iff it
     has one in ``L`` (closure adds exactly the limits of extendable
     prefixes), so the alive-flags — and hence every verdict — coincide
-    with the PR-1 construction, which survives only as the deprecated
-    :meth:`compile_direct` shim.
+    with the direct ``translate() → table`` construction.
     """
 
     __slots__ = ("formula", "alphabet", "symbols", "symbol_index", "initial",
@@ -187,39 +184,6 @@ class MonitorTable:
         self.next_state = next_state
         self.verdicts = verdicts
         self.states = states
-
-    @classmethod
-    def compile(cls, formula: Formula, alphabet: Iterable) -> "DecomposedMonitor":
-        """Compile through the decomposition facade (the one supported
-        path): factor ``φ`` and ``¬φ`` with
-        :func:`repro.analysis.decompose`, lower the safety conjuncts
-        onto subset tables, product them, and lower ``φ``'s liveness
-        conjunct onto a :class:`BoundTracker`."""
-        return DecomposedMonitor.compile(formula, alphabet)
-
-    @classmethod
-    def compile_direct(cls, formula: Formula, alphabet: Iterable) -> "MonitorTable":
-        """**Deprecated** — the PR-1 direct ``translate() → table`` path,
-        bypassing :func:`repro.analysis.decompose`.  Kept only so the
-        equivalence property (decomposed ≡ direct on every prefix) stays
-        executable; it emits no :class:`BoundTracker`, so sessions over
-        its tables can never say anything about liveness."""
-        warnings.warn(
-            "MonitorTable.compile_direct() is deprecated: compile through "
-            "MonitorTable.compile(), which factors the policy via "
-            "repro.analysis.decompose() and adds the liveness bound tracker",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        alphabet = frozenset(alphabet)
-        pos = SubsetTable.from_automaton(translate(formula, alphabet), phases=_PHASES)
-        neg = SubsetTable.from_automaton(translate(Not(formula), alphabet),
-                                        phases=_PHASES)
-        with _PHASES.phase("product"):
-            table = cls._product(formula, alphabet, pos, neg)
-        _TABLES_COMPILED.add()
-        _TABLE_STATES.record(len(table))
-        return table
 
     @classmethod
     def _product(cls, formula, alphabet, pos: SubsetTable, neg: SubsetTable

@@ -38,8 +38,13 @@ Quick start::
     with Client.sharded(shards=4) as client:   # same verbs, scaled out
         reply = client.decompose(automaton)
 
-Embedding :class:`AnalysisService` directly remains supported — the
-client facade is a veneer, not a wall.
+:class:`Client` is the one caller-facing front door.
+:class:`AnalysisService` stays exported beside it because three things
+need the service object itself: the sharded worker embeds one per
+shard, :class:`~repro.ops.http.OpsServer` and a borrowed
+``Client(InProcessTransport(service))`` wrap a live one, and the
+benchmark harness reaches ``client.transport.service`` for its
+per-layer counters.
 """
 
 from .cache import ResultCache, ResultCacheInfo, ResultCacheStats

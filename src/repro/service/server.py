@@ -404,16 +404,16 @@ class AnalysisService:
                         f"{kind} request deadline expired before compute"
                     )
                 try:
-                    key = handlers.cache_key(request)
                     compute_started = time.perf_counter()
+                    key = handlers.cache_key(request)
                     try:
                         value, hit = self.cache.get_or_compute(
                             key, lambda: handlers.compute(request)
                         )
                     finally:
                         if context is not None:
-                            # Phase 2: cache lookup + (on miss) handler
-                            # compute.
+                            # Phase 2: canonical key + cache lookup +
+                            # (on miss) handler compute.
                             context.note_phase(
                                 "compute",
                                 time.perf_counter() - compute_started,

@@ -16,15 +16,15 @@ tables use — replay a recorded workload before serving:
 Entries are LTL-based (the one request family with a portable text
 serialization — automata and lattices are constructed in code, so their
 warm-up happens naturally by submitting them).  Formulas are parsed with
-:func:`repro.ltl.parser.parse`; unknown kinds or unparseable formulas
-raise :class:`WarmupError` with the offending entry's index, rather than
+:func:`repro.ltl.parser.parse`; an entry that is not an object, has an
+unknown kind, a malformed field or an unparseable formula raises
+:class:`WarmupError` naming the offending ``requests[i]``, rather than
 silently warming a partial cache.
 """
 
 from __future__ import annotations
 
 import json
-import warnings
 from pathlib import Path
 from types import MappingProxyType
 
@@ -70,45 +70,53 @@ def load_workload_data(source) -> dict:
 
 
 def parse_workload(data: dict) -> list[Request]:
-    """Decode a raw workload dict into request objects."""
-    if not isinstance(data, dict) or "requests" not in data:
+    """Decode a raw workload dict into request objects.
+
+    The data comes from outside (a file, or a router replicating it to
+    every shard), so each entry's shape is checked before it is built."""
+    if not isinstance(data, dict) or not isinstance(data.get("requests"), list):
         raise WarmupError("workload must be a dict with a 'requests' list")
-    requests = []
-    for index, entry in enumerate(data["requests"]):
-        kind = entry.get("kind")
-        request_type = _REQUEST_OF.get(kind)
-        if request_type is None:
-            raise WarmupError(
-                f"requests[{index}]: unknown kind {kind!r} "
-                f"(expected one of {sorted(_REQUEST_OF)})"
-            )
-        if "formula" not in entry or "alphabet" not in entry:
-            raise WarmupError(
-                f"requests[{index}]: workload entries need 'formula' and "
-                f"'alphabet'"
-            )
-        try:
-            formula = parse(entry["formula"])
-        except Exception as exc:
-            raise WarmupError(
-                f"requests[{index}]: cannot parse formula "
-                f"{entry['formula']!r}: {exc}"
-            ) from exc
-        kwargs: dict = {}
-        if request_type is MonitorRequest:
-            # Monitor entries may carry a trace and a horizon; a bare
-            # entry (no events) still warms the shard's compiled-monitor
-            # cache for the policy, which is the expensive part.
-            kwargs["events"] = tuple(entry.get("events", ()))
-            if entry.get("horizon") is not None:
-                kwargs["horizon"] = int(entry["horizon"])
-        requests.append(
-            request_type(
-                subject=formula, alphabet=frozenset(entry["alphabet"]),
-                **kwargs,
-            )
-        )
-    return requests
+    return [
+        _parse_entry(index, entry) for index, entry in enumerate(data["requests"])
+    ]
+
+
+def _parse_entry(index: int, entry) -> Request:
+    def fail(message: str) -> WarmupError:
+        return WarmupError(f"requests[{index}]: {message}")
+
+    if not isinstance(entry, dict):
+        raise fail(f"entry must be an object, got {type(entry).__name__}")
+    kind = entry.get("kind")
+    request_type = _REQUEST_OF.get(kind)
+    if request_type is None:
+        raise fail(f"unknown kind {kind!r} (expected one of {sorted(_REQUEST_OF)})")
+    if "formula" not in entry or "alphabet" not in entry:
+        raise fail("workload entries need 'formula' and 'alphabet'")
+    alphabet = entry["alphabet"]
+    if not isinstance(alphabet, list) or not all(
+        isinstance(symbol, str) for symbol in alphabet
+    ):
+        raise fail(f"'alphabet' must be a list of strings, got {alphabet!r}")
+    try:
+        formula = parse(entry["formula"])
+    except Exception as exc:
+        raise fail(f"cannot parse formula {entry['formula']!r}: {exc}") from exc
+    kwargs: dict = {}
+    if request_type is MonitorRequest:
+        # Monitor entries may carry a trace and a horizon; a bare
+        # entry (no events) still warms the shard's compiled-monitor
+        # cache for the policy, which is the expensive part.
+        events = entry.get("events", [])
+        if not isinstance(events, list):
+            raise fail(f"'events' must be a list, got {events!r}")
+        kwargs["events"] = tuple(events)
+        horizon = entry.get("horizon")
+        if horizon is not None:
+            if type(horizon) is not int:  # bool is an int subclass
+                raise fail(f"'horizon' must be an int, got {horizon!r}")
+            kwargs["horizon"] = horizon
+    return request_type(subject=formula, alphabet=frozenset(alphabet), **kwargs)
 
 
 def load_workload(source) -> list[Request]:
@@ -129,24 +137,6 @@ def replay_workload(service, requests) -> int:
         service.submit(request).result()
         count += 1
     return count
-
-
-def warm_start(service, source) -> int:
-    """Deprecated spelling of the warm start.
-
-    .. deprecated:: PR 9
-        Use :meth:`repro.service.client.Client.warm_start` — the one
-        warm-start entry point that works for both in-process and
-        sharded deployments (the sharded transport fan-out-replicates
-        the workload to every shard; this function can only reach one
-        in-process service)."""
-    warnings.warn(
-        "warm_start(service, source) is deprecated; use "
-        "Client.warm_start(source) on a repro.service.client.Client",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return replay_workload(service, load_workload(source))
 
 
 def random_workload(

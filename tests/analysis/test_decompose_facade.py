@@ -1,9 +1,8 @@
 """Tests for the unified decomposition facade: exhaustive dispatch over
-the four input kinds, the Decomposition protocol, and every deprecated
-shim (forwards correctly, warns exactly once)."""
+the four input kinds, the Decomposition protocol, and the absence of any
+per-package decompose spelling beside it."""
 
 import importlib
-import warnings
 
 import pytest
 
@@ -129,66 +128,23 @@ class TestVerifySpelling:
         assert d.verify(tree) in (True, False)
 
 
-# every deprecated spelling: (module, attribute, invocation)
-def _shim_cases():
-    lat, cl = lattice_fixture()
-    automaton = translate(parse("G a"), "ab")
-    return [
-        ("repro.lattice.decomposition", "decompose",
-         lambda fn: fn(lat, cl, cl, frozenset({0}))),
-        ("repro.lattice.decomposition", "decompose_single",
-         lambda fn: fn(lat, cl, frozenset({0}))),
-        ("repro.buchi.decomposition", "decompose",
-         lambda fn: fn(automaton)),
-        ("repro.rabin.decomposition", "decompose",
-         lambda fn: fn(agfa())),
-        ("repro.ltl.classify", "decompose_formula",
-         lambda fn: fn(parse("G a"), "ab")),
-        ("repro.analysis.classify", "decompose_element",
-         lambda fn: fn(lat, cl, frozenset({0}))),
-        ("repro.analysis.classify", "decompose_automaton",
-         lambda fn: fn(automaton)),
-        ("repro.analysis.classify", "decompose_formula",
-         lambda fn: fn(parse("G a"), "ab")),
-    ]
-
-
 @pytest.mark.parametrize(
-    "module_name,attribute,invoke",
-    _shim_cases(),
-    ids=lambda v: v if isinstance(v, str) else "",
-)
-def test_shim_warns_exactly_once_and_forwards(module_name, attribute, invoke):
-    # importlib, not attribute chaining: package inits rebind some of
-    # these module names to same-named functions (repro.ltl.classify)
-    module = importlib.import_module(module_name)
-    shim = getattr(module, attribute)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        result = invoke(shim)
-    deprecations = [w for w in caught if w.category is DeprecationWarning]
-    assert len(deprecations) == 1, f"{module_name}.{attribute}"
-    assert attribute in str(deprecations[0].message)
-    assert result is not None
-
-
-@pytest.mark.parametrize(
-    "package,name",
+    "module_name,name",
     [
-        ("repro.lattice", "decompose"),
-        ("repro.lattice", "decompose_single"),
-        ("repro.buchi", "decompose"),
-        ("repro.rabin", "decompose"),
-        ("repro.ltl", "decompose_formula"),
-        ("repro.analysis", "decompose_element"),
-        ("repro.analysis", "decompose_automaton"),
-        ("repro.analysis", "decompose_formula"),
+        ("repro.lattice.decomposition", "decompose"),
+        ("repro.lattice.decomposition", "decompose_single"),
+        ("repro.buchi.decomposition", "decompose"),
+        ("repro.rabin.decomposition", "decompose"),
+        ("repro.ltl.classify", "decompose_formula"),
+        ("repro.analysis.classify", "decompose_element"),
+        ("repro.analysis.classify", "decompose_automaton"),
+        ("repro.analysis.classify", "decompose_formula"),
     ],
 )
-def test_old_spellings_importable_but_not_exported(package, name):
-    module = importlib.import_module(package)
-    assert hasattr(module, name)
-    assert name not in getattr(module, "__all__")
+def test_facade_is_the_only_decompose_spelling(module_name, name):
+    # importlib, not attribute chaining: package inits rebind some of
+    # these module names to same-named functions (repro.ltl.classify)
+    assert not hasattr(importlib.import_module(module_name), name)
 
 
 def test_facade_is_exported():

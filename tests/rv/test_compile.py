@@ -3,13 +3,13 @@ the LRU compile cache's hit/miss semantics."""
 
 import pytest
 
+from repro.buchi import SubsetTable
 from repro.buchi.emptiness import live_states
 from repro.ltl import Not, RvMonitor, Verdict3, parse, translate
 from repro.omega import all_lassos
 from repro.rv import (
     CompileCache,
-    MonitorTable,
-    SubsetTable,
+    DecomposedMonitor,
     canonical_key,
     compile_formula,
 )
@@ -51,7 +51,7 @@ class TestMonitorTable:
     def test_bit_identical_to_rv_monitor(self, spec):
         """Verdict after *every* prefix equals the reference monitor's."""
         formula = parse(spec)
-        table = MonitorTable.compile(formula, "ab")
+        table = DecomposedMonitor.compile(formula, "ab")
         reference = RvMonitor(formula, "ab")
         for word in all_lassos("ab", 2, 2):
             trace = list(word.prefix + word.cycle * 2)
@@ -63,20 +63,20 @@ class TestMonitorTable:
                 assert table.verdicts[state] is reference.observe(e)
 
     def test_definite_states_absorbing(self):
-        table = MonitorTable.compile(parse("G a"), "ab")
+        table = DecomposedMonitor.compile(parse("G a"), "ab")
         for q in range(len(table)):
             if table.verdicts[q] is not Verdict3.UNKNOWN:
                 assert all(t == q for t in table.next_state[q])
 
     def test_run_matches_monitor_verdict(self):
         formula = parse("(a U b) & G !c")
-        table = MonitorTable.compile(formula, "abc")
+        table = DecomposedMonitor.compile(formula, "abc")
         reference = RvMonitor(formula, "abc")
         for trace in ("", "a", "ab", "ac", "aab", "abc", "cab"):
             assert table.run(trace) is reference.run(trace)
 
     def test_foreign_symbol_raises_value_error(self):
-        table = MonitorTable.compile(parse("G a"), "ab")
+        table = DecomposedMonitor.compile(parse("G a"), "ab")
         with pytest.raises(ValueError, match="outside the alphabet"):
             table.step(table.initial, "z")
 
@@ -142,7 +142,7 @@ class TestTruncationSemantics:
     def test_events_after_final_verdict_keep_verdict(self):
         """Matches RvMonitor: the verdict is final, later events no-op."""
         formula = parse("G a")
-        table = MonitorTable.compile(formula, "ab")
+        table = DecomposedMonitor.compile(formula, "ab")
         state = table.initial
         for e in "ab":           # FALSE now
             state = table.step(state, e)
@@ -153,8 +153,8 @@ class TestTruncationSemantics:
 
     def test_negation_swaps_true_false(self):
         formula = parse("G a")
-        pos = MonitorTable.compile(formula, "ab")
-        neg = MonitorTable.compile(Not(formula), "ab")
+        pos = DecomposedMonitor.compile(formula, "ab")
+        neg = DecomposedMonitor.compile(Not(formula), "ab")
         swap = {Verdict3.TRUE: Verdict3.FALSE,
                 Verdict3.FALSE: Verdict3.TRUE,
                 Verdict3.UNKNOWN: Verdict3.UNKNOWN}

@@ -6,7 +6,7 @@ import pytest
 from repro.ltl import RvMonitor, Verdict3, parse
 from repro.rv import (
     BackpressureError,
-    MonitorTable,
+    DecomposedMonitor,
     SessionError,
     SessionManager,
     TraceSession,
@@ -15,12 +15,12 @@ from repro.rv import (
 
 @pytest.fixture(scope="module")
 def safety():
-    return MonitorTable.compile(parse("G a"), "ab")
+    return DecomposedMonitor.compile(parse("G a"), "ab")
 
 
 @pytest.fixture(scope="module")
 def liveness():
-    return MonitorTable.compile(parse("GF a"), "ab")
+    return DecomposedMonitor.compile(parse("GF a"), "ab")
 
 
 class TestTraceSession:

@@ -48,6 +48,22 @@ class TestLoadWorkload:
         with pytest.raises(WarmupError, match=r"requests\[0\].*frobnicate"):
             load_workload(bad)
 
+    @pytest.mark.parametrize("requests, match", [
+        ([1], r"requests\[0\].*object"),
+        ("ab", r"'requests' list"),
+        ([{"kind": "monitor", "formula": "G a", "alphabet": ["a"],
+           "horizon": "x"}], r"requests\[0\].*horizon"),
+        ([{"kind": "decompose", "formula": "G a", "alphabet": ["a"]},
+          {"kind": "decompose", "formula": "G a", "alphabet": 5}],
+         r"requests\[1\].*alphabet"),
+        ([{"kind": "monitor", "formula": "G a", "alphabet": ["a"],
+           "events": 5}], r"requests\[0\].*events"),
+    ], ids=["int-entry", "string-requests", "string-horizon", "int-alphabet",
+            "int-events"])
+    def test_malformed_entry_carries_index(self, requests, match):
+        with pytest.raises(WarmupError, match=match):
+            load_workload({"requests": requests})
+
     def test_unparseable_formula_carries_index(self):
         bad = {"requests": [
             {"kind": "decompose", "formula": "G a", "alphabet": ["a", "b"]},
@@ -98,14 +114,6 @@ class TestWarmStart:
                 DecomposeRequest(parse("G a"), alphabet=frozenset("ab"))
             )
             assert warmed.cached
-
-    def test_old_spelling_is_a_deprecated_shim(self):
-        from repro.service.warmup import warm_start
-
-        with AnalysisService(workers=0) as svc:
-            with pytest.warns(DeprecationWarning, match="Client.warm_start"):
-                count = warm_start(svc, WORKLOAD)
-        assert count == 3
 
     def test_borrowed_service_shares_the_warm_cache(self):
         with AnalysisService(workers=0) as svc:
