@@ -14,13 +14,17 @@ roughly one core.  This package scales *out* instead of up:
   ``AnalysisService`` (worker pool, result cache, certificate
   verify-on-hit) behind the length-prefixed JSON wire protocol of
   :mod:`repro.service.wire`, frames on stdin/stdout.
-* :mod:`repro.service.sharded.router` — the asyncio front-end:
+* :mod:`repro.service.sharded.router` — the front-end:
   :class:`ShardedService` spawns the workers, routes by
   ``canonical_key()``, health-checks and respawns dead shards (with
   warm-start replication and bounded at-least-once redelivery for
   idempotent requests; at-most-once for ``certify=True``), and
   aggregates readiness, cache stats, in-flight tables and slow logs for
-  the ops plane.
+  the ops plane.  It runs on plain threads: each caller's thread writes
+  its own request frame, one reader thread per shard owns that shard's
+  replies and its exit path, and one health thread probes readiness.
+  ``submit()`` never blocks on shard readiness, and a shard counts as
+  ready only once it has answered a ``ping``.
 
 Most callers should not import this package directly — construct a
 :class:`repro.service.client.Client` over a ``ShardedTransport`` and

@@ -1,4 +1,4 @@
-"""The asyncio front-end: consistent-hash routing over worker shards.
+"""The front-end: consistent-hash routing over worker shards.
 
 :class:`ShardedService` spawns ``shards`` worker processes (each one
 :mod:`repro.service.sharded.worker` — today's ``AnalysisService`` behind
@@ -8,39 +8,41 @@ shared-nothing: no shard ever talks to another, each owns its slice of
 the keyspace, and the router owns *only* routing, health and
 aggregation.
 
-Delivery semantics, stated precisely (DESIGN.md §13):
+Delivery semantics (DESIGN.md §13): when a shard dies mid-request the
+router respawns it (warm-started from the recorded workload, if any).
+**Idempotent requests** — everything except ``certify=True`` decomposes —
+are redelivered, *at-least-once* and at most ``max_deliveries`` times:
+analyses are pure, so a duplicate compute is wasted work, never a wrong
+answer.  **Certify requests** are *at-most-once*: issuance is priced work
+a caller may bill, so one caught in a shard death fails with
+:class:`~repro.service.requests.ServiceClosed` and the caller decides
+whether to retry.
 
-* **Idempotent requests** (everything except ``certify=True``
-  decomposes) are delivered *at-least-once*: when a shard dies
-  mid-request the router respawns it (warm-started from the recorded
-  workload, if one was given) and redelivers the lost in-flight
-  requests, at most ``max_deliveries`` times each.  Analyses are pure
-  functions of their subject, so a duplicated compute is wasted work,
-  never a wrong answer — and each caller still receives exactly one
-  reply, because replies are matched by id to one future.
-* **Certify requests** are *at-most-once*: certificate issuance is
-  priced work a caller may bill or log externally, so a certify request
-  caught in a shard death is failed with
-  :class:`~repro.service.requests.ServiceClosed` rather than silently
-  re-run; the caller decides whether to retry.
-
-Threading model: all shard state (process handles, in-flight tables,
-readiness) is touched only on the router's event-loop thread; callers
-interact through thread-safe futures.  The one cross-thread flag,
-``closed``, has its own lock.
+Threading model — plain threads, no event loop.  A caller's thread
+encodes its request, then registers the flight in the chosen shard's
+table and writes the whole frame to its stdin, both under the shard's
+``lock``.  One reader thread per shard owns its stdout, resolves what it
+removes from the table, and on EOF runs the exit path (respawn,
+warm-start, redelivery, certify fail-closed).  One health thread probes
+ready shards with ``readyz`` (three misses → kill) and fails parked
+flights past their grace window.  A shard is ready only once it has
+answered a ``ping``; ``submit()`` never blocks on readiness — with no
+shard routable the flight is parked (the service ``_lock`` guards the
+parked list and ``closed``) until one is.  Whoever removes a flight
+from a table or the parked list completes it: one reply per caller.
 """
 
 from __future__ import annotations
 
-import asyncio
 import itertools
-import json
 import os
+import subprocess
 import sys
 import threading
 import time
 from concurrent.futures import Future
 from concurrent.futures import TimeoutError as _FutureTimeout
+from concurrent.futures import wait as wait_futures
 from pathlib import Path
 
 from repro.obs.context import RequestContext
@@ -58,10 +60,12 @@ from repro.service.requests import (
 )
 from repro.service.warmup import load_workload_data, parse_workload
 from repro.service.wire import (
+    WireError,
     decode_error,
     decode_result,
     encode_request,
     pack_frame,
+    read_frame,
 )
 
 from .ring import HashRing
@@ -83,8 +87,8 @@ _REDELIVERED = REGISTRY.counter(
     "idempotent in-flight requests redelivered after a shard death",
 )
 
-#: How long a dispatch waits for *any* shard to become routable before
-#: giving up with ServiceOverloaded (covers the respawn window).
+#: How long a parked request waits for *any* shard to become routable
+#: before it fails with ServiceOverloaded (covers the respawn window).
 DISPATCH_GRACE_SECONDS = 5.0
 
 #: Respawn attempts per shard death before its in-flight work is failed.
@@ -92,55 +96,101 @@ MAX_RESPAWNS = 3
 
 
 class _Flight:
-    """One routed request: its wire frame plus the caller's future."""
+    """One routed request: its wire request plus the caller's future."""
 
     __slots__ = ("request_id", "request", "wire", "future", "deadline",
-                 "origin", "routing_key", "idempotent", "deliveries",
-                 "shard")
+                 "origin", "preference", "idempotent", "deliveries",
+                 "shard", "grace_end")
 
-    def __init__(self, request_id, request, wire, deadline, origin,
-                 routing_key, idempotent):
-        self.request_id = request_id
+    def __init__(self, request, deadline, origin, preference):
+        self.request_id = RequestContext(
+            kind=request.kind, origin=origin, deadline=deadline
+        ).request_id
         self.request = request
-        self.wire = wire
+        self.wire = encode_request(request)
         self.future: Future = Future()
         self.deadline = deadline
         self.origin = origin
-        self.routing_key = routing_key
-        self.idempotent = idempotent
+        self.preference = preference
+        self.idempotent = not getattr(request, "certify", False)
         self.deliveries = 0
         self.shard = None
+        self.grace_end = None
 
-    def frame(self) -> dict:
-        payload = {
-            "id": self.request_id,
-            "op": "request",
-            "request": self.wire,
-            "origin": self.origin,
-            "trace_id": self.request_id,
-        }
+    def frame(self) -> bytes:
+        payload = {"id": self.request_id, "op": "request",
+                   "request": self.wire, "origin": self.origin,
+                   "trace_id": self.request_id}
         if self.deadline is not None:
             payload["timeout"] = max(0.0, self.deadline - time.perf_counter())
-        return payload
+        return pack_frame(payload)
 
 
 class _Shard:
-    """One worker process as the router sees it (loop-thread only)."""
+    """One worker process as the router sees it.
 
-    __slots__ = ("index", "generation", "proc", "reader", "inflight",
-                 "control", "ready", "remote", "misses", "write_gate")
+    ``lock`` guards ``open``, ``ready`` and the frame-id tables
+    (``inflight`` for requests, ``control`` for control futures) and is
+    held across every write to ``proc.stdin``.  ``misses`` and ``remote``
+    belong to the health thread."""
+
+    __slots__ = ("index", "generation", "proc", "lock", "open", "ready",
+                 "inflight", "control", "remote", "misses", "reader")
 
     def __init__(self, index: int, generation: int, proc):
         self.index = index
         self.generation = generation
         self.proc = proc
-        self.reader = None
-        self.inflight: dict[str, _Flight] = {}
-        self.control: dict[str, asyncio.Future] = {}
+        self.lock = threading.Lock()
+        self.open = True
         self.ready = False
+        self.inflight: dict[str, _Flight] = {}
+        self.control: dict[str, Future] = {}
         self.remote: dict = {}
         self.misses = 0
-        self.write_gate = asyncio.Lock()
+        self.reader: threading.Thread | None = None
+
+    def send(self, frame_id: str, entry, frame: bytes) -> bool:
+        """Register ``entry`` and write ``frame``; False (nothing
+        registered) once the shard has closed.  A failed write leaves the
+        entry registered: the pipe is broken, so the reader sees EOF and
+        the exit path takes the entry over."""
+        table = self.inflight if isinstance(entry, _Flight) else self.control
+        with self.lock:
+            if not self.open:
+                return False
+            table[frame_id] = entry
+            try:
+                self.proc.stdin.write(frame)
+                self.proc.stdin.flush()
+            except (OSError, ValueError):
+                pass
+            return True
+
+    def take(self, frame_id):
+        with self.lock:
+            return (self.inflight.pop(frame_id, None)
+                    or self.control.pop(frame_id, None))
+
+    def mark_ready(self) -> bool:
+        with self.lock:
+            self.ready = self.open
+            return self.ready
+
+    def close(self) -> tuple[bool, list[_Flight], list[Future]]:
+        """Stop accepting frames; returns whether the shard was ready and
+        the flights and control futures still registered."""
+        with self.lock:
+            ready, self.ready, self.open = self.ready, False, False
+            flights = list(self.inflight.values())
+            controls = list(self.control.values())
+            self.inflight.clear()
+            self.control.clear()
+            try:
+                self.proc.stdin.close()
+            except (OSError, ValueError):
+                pass
+        return ready, flights, controls
 
 
 class ShardReply:
@@ -231,6 +281,9 @@ class _AggregateCacheView:
 class ShardedService:
     """N analysis shards behind one consistent-hash router.
 
+    The constructor returns once every shard has answered a ``ping``
+    (shards start in parallel), so a new service is routable at once.
+
     Parameters
     ----------
     shards:
@@ -293,34 +346,27 @@ class ShardedService:
         )
         self._ids = itertools.count(1)
         self._rr = itertools.count()
-        self._state_lock = threading.Lock()
+        self._lock = threading.Lock()
         self._closed = False
-        self._closing = False
+        self._parked: list[_Flight] = []
+        self._wake = threading.Event()
         self._shards: list[_Shard | None] = [None] * shards
-        self._ready_event: asyncio.Event | None = None
-        self._health_task: asyncio.Task | None = None
-        self._loop = asyncio.new_event_loop()
-        self._thread = threading.Thread(
-            target=self._loop.run_forever,
-            name="repro-shard-router", daemon=True,
-        )
-        self._thread.start()
+        self._health_thread: threading.Thread | None = None
         try:
-            self._call(self._start_all(), timeout=120.0)
+            self._start(range(shards))
         except BaseException:
             self.shutdown(wait=False)
             raise
+        self._health_thread = threading.Thread(
+            target=self._health, name="repro-shard-health", daemon=True
+        )
+        self._health_thread.start()
 
     # -- journal plumbing ----------------------------------------------------
 
     def _emit(self, name: str, level: int = INFO, **fields) -> None:
         if self.journal is not None:
             self.journal.emit(name, level, **fields)
-
-    # -- sync/async bridge ---------------------------------------------------
-
-    def _call(self, coro, timeout: float):
-        return asyncio.run_coroutine_threadsafe(coro, self._loop).result(timeout)
 
     # -- spawning ------------------------------------------------------------
 
@@ -349,252 +395,251 @@ class ShardedService:
         )
         return env
 
-    async def _start_all(self) -> None:
-        self._ready_event = asyncio.Event()
-        await asyncio.gather(
-            *(self._spawn(index) for index in range(self.n_shards))
-        )
-        self._health_task = asyncio.get_running_loop().create_task(
-            self._health()
-        )
-
-    async def _spawn(self, index: int) -> None:
+    def _launch(self, index: int) -> _Shard:
+        """Start one worker process and its reader thread (not ready)."""
         previous = self._shards[index]
-        generation = previous.generation + 1 if previous is not None else 1
-        proc = await asyncio.create_subprocess_exec(
-            *self._worker_command(index),
-            stdin=asyncio.subprocess.PIPE,
-            stdout=asyncio.subprocess.PIPE,
-            env=self._worker_env(),
+        proc = subprocess.Popen(
+            self._worker_command(index), env=self._worker_env(),
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE,
         )
+        generation = 1 if previous is None else previous.generation + 1
         shard = _Shard(index, generation, proc)
+        # Publish first, then check: shutdown sets ``closed`` before it
+        # lists the shards, so either it stops this shard or we do.
         self._shards[index] = shard
-        shard.reader = asyncio.get_running_loop().create_task(
-            self._serve_shard(shard)
+        shard.reader = threading.Thread(
+            target=self._read, args=(shard,),
+            name=f"repro-shard-{index}-reader", daemon=True,
         )
-        if self._warm_data is not None:
-            count = await self._control(
-                shard, "warm_start", {"workload": self._warm_data},
-                timeout=120.0,
-            )
-            self._emit("shard.warm_start", shard=index, replayed=count)
-        shard.ready = True
-        self._ready_event.set()
-        self._emit("shard.spawn", shard=index, pid=proc.pid,
-                   generation=generation)
+        shard.reader.start()
+        if self.closed:
+            proc.kill()  # the reader reaps it and closes the pipes
+            raise ServiceClosed("sharded service is shut down")
+        return shard
+
+    def _start(self, indices) -> None:
+        """Spawn shards together, wait until every one has answered a
+        ``ping`` (or replayed the warm-start workload), then make them
+        routable.  On failure the new processes are killed."""
+        shards = [self._launch(index) for index in indices]
+        warm = self._warm_data
+        op, extra = ("ping", None) if warm is None else (
+            "warm_start", {"workload": warm})
+        try:
+            answers = self._control_all(shards, op, extra, timeout=120.0)
+            for answer in answers:
+                if isinstance(answer, BaseException):
+                    raise answer
+            for shard in shards:
+                if not shard.mark_ready():
+                    raise ServiceClosed(f"shard {shard.index} exited at start")
+        except BaseException:
+            for shard in shards:
+                shard.close()  # so its exit path neither counts nor respawns
+                shard.proc.kill()
+            raise
+        # After the flips: a flight parked before them is taken here, one
+        # parked after them saw a ready shard under the lock instead.
+        with self._lock:
+            parked, self._parked = self._parked, []
+        for shard, answer in zip(shards, answers):
+            if warm is not None:
+                self._emit("shard.warm_start", shard=shard.index,
+                           replayed=answer)
+            self._emit("shard.spawn", shard=shard.index, pid=shard.proc.pid,
+                       generation=shard.generation)
+        for flight in parked:
+            self._route(flight)
 
     # -- the wire ------------------------------------------------------------
 
-    async def _write(self, shard: _Shard, payload: dict) -> None:
-        frame = pack_frame(payload)
-        async with shard.write_gate:
-            shard.proc.stdin.write(frame)
-            await shard.proc.stdin.drain()
+    def _control_all(self, shards, op: str, extra: dict | None = None,
+                     timeout: float = 5.0) -> list:
+        """One control frame per shard; their answers (or errors) in order."""
+        sent = []
+        for shard in shards:
+            frame_id, future = f"c-{next(self._ids)}", Future()
+            frame = pack_frame({"id": frame_id, "op": op, **(extra or {})})
+            if not shard.send(frame_id, future, frame):
+                future.set_exception(ServiceClosed(f"shard {shard.index} exited"))
+            sent.append((shard, frame_id, future))
+        wait_futures([future for _, _, future in sent], timeout)
+        for shard, frame_id, future in sent:
+            if not future.done() and shard.take(frame_id) is future:
+                future.set_exception(ServiceTimeout(
+                    f"shard {shard.index} did not answer {op!r} within "
+                    f"{timeout:g}s"
+                ))
+        return [future.exception() or future.result() for _, _, future in sent]
 
-    async def _control(self, shard: _Shard, op: str, extra: dict | None = None,
-                       timeout: float = 5.0):
-        frame_id = f"c-{next(self._ids)}"
-        future = asyncio.get_running_loop().create_future()
-        shard.control[frame_id] = future
-        payload = {"id": frame_id, "op": op}
-        if extra:
-            payload.update(extra)
-        try:
-            await self._write(shard, payload)
-            return await asyncio.wait_for(future, timeout)
-        finally:
-            shard.control.pop(frame_id, None)
-
-    async def _serve_shard(self, shard: _Shard) -> None:
+    def _read(self, shard: _Shard) -> None:
+        """The shard's reader thread: resolve replies until EOF."""
         stdout = shard.proc.stdout
         try:
-            while True:
-                header = await stdout.readexactly(4)
-                length = int.from_bytes(header, "big")
-                body = await stdout.readexactly(length)
-                self._on_frame(shard, json.loads(body.decode("utf-8")))
-        except (asyncio.IncompleteReadError, ConnectionResetError,
-                BrokenPipeError):
-            pass
-        await shard.proc.wait()
-        await self._on_shard_exit(shard)
+            while (payload := read_frame(stdout)) is not None:
+                self._on_frame(shard, payload)
+        except (WireError, OSError, ValueError):
+            pass  # a torn or unreadable stream ends like EOF
+        shard.proc.wait()
+        stdout.close()
+        self._on_exit(shard)
 
     def _on_frame(self, shard: _Shard, payload: dict) -> None:
-        frame_id = payload.get("id")
-        control = shard.control.get(frame_id)
-        if control is not None:
-            if not control.done():
-                if payload.get("ok"):
-                    control.set_result(payload.get("value"))
-                else:
-                    control.set_exception(decode_error(payload.get("error", {})))
-            return
-        flight = shard.inflight.pop(frame_id, None)
-        if flight is None or flight.future.done():
-            return
-        if payload.get("ok"):
+        entry = shard.take(payload.get("id"))
+        ok = payload.get("ok")
+        if isinstance(entry, Future):
+            if ok:
+                entry.set_result(payload.get("value"))
+            else:
+                entry.set_exception(decode_error(payload.get("error", {})))
+        elif entry is not None:
             try:
-                result = decode_result(payload["result"], flight.request)
-            except BaseException as exc:  # noqa: BLE001 — surfaced on the caller's future
-                _REQUESTS.labels(shard=str(shard.index), outcome="error").add()
-                flight.future.set_exception(exc)
+                if not ok:
+                    raise decode_error(payload.get("error", {}))
+                result = decode_result(payload["result"], entry.request)
+            except Exception as exc:  # noqa: BLE001 — surfaced on the caller's future
+                self._fail([entry], exc)
                 return
             _REQUESTS.labels(shard=str(shard.index), outcome="ok").add()
-            flight.future.set_result(result)
-        else:
-            _REQUESTS.labels(shard=str(shard.index), outcome="error").add()
-            flight.future.set_exception(decode_error(payload.get("error", {})))
+            entry.future.set_result(result)
 
     # -- death, respawn, redelivery -----------------------------------------
 
-    async def _on_shard_exit(self, shard: _Shard) -> None:
-        if self._shards[shard.index] is not shard:
-            return  # a newer generation already took over
-        shard.ready = False
-        for future in list(shard.control.values()):
-            if not future.done():
-                future.set_exception(
-                    ServiceClosed(f"shard {shard.index} exited")
-                )
-        shard.control.clear()
-        orphans = list(shard.inflight.values())
-        shard.inflight.clear()
-        if self._closing:
-            self._fail_flights(orphans, ServiceClosed(
-                "sharded service is shutting down"
-            ))
+    def _on_exit(self, shard: _Shard) -> None:
+        routable, orphans, controls = shard.close()
+        for future in controls:
+            future.set_exception(ServiceClosed(f"shard {shard.index} exited"))
+        if self.closed or not routable:
+            # (a shard that never answered holds no flights; the spawn
+            # that started it retries)
+            self._fail(orphans, ServiceClosed("sharded service is shut down"))
             return
         _DEATHS.labels(shard=str(shard.index)).add()
         self._emit("shard.exit", WARN, shard=shard.index, pid=shard.proc.pid,
                    returncode=shard.proc.returncode, orphaned=len(orphans))
-        redeliverable, dropped = [], []
+        redeliverable = []
         for flight in orphans:
             if flight.idempotent and flight.deliveries < self.max_deliveries:
                 redeliverable.append(flight)
             else:
-                dropped.append(flight)
-        self._fail_flights(dropped, ServiceClosed(
-            f"shard {shard.index} died mid-request; not redelivering "
-            "(at-most-once for certify requests, delivery bound otherwise)"
-        ))
+                self._fail([flight], ServiceClosed(
+                    f"shard {shard.index} died mid-request; not redelivering "
+                    "(at-most-once for certify requests, delivery bound "
+                    "otherwise)"
+                ))
         for attempt in range(MAX_RESPAWNS):
             try:
-                await self._spawn(shard.index)
+                self._start([shard.index])
                 break
-            except Exception:
-                await asyncio.sleep(0.2 * (attempt + 1))
-        else:
-            self._emit("shard.respawn_failed", WARN, shard=shard.index)
-            self._fail_flights(redeliverable, ServiceClosed(
-                f"shard {shard.index} died and could not be respawned"
-            ))
-            return
-        replacement = self._shards[shard.index]
+            except Exception as exc:  # journaled; the next attempt runs
+                if self.closed:
+                    break
+                self._emit("shard.respawn_failed", WARN, shard=shard.index,
+                           attempt=attempt + 1, error=repr(exc))
+                time.sleep(0.2 * (attempt + 1))
+        # Without a respawn, routing falls back along the ring (or parks
+        # the flight, or fails it once the service is closed).
         for flight in redeliverable:
-            if flight.deadline is not None and (
-                flight.deadline <= time.perf_counter()
-            ):
-                if not flight.future.done():
-                    flight.future.set_exception(ServiceTimeout(
-                        f"{flight.request.kind} request deadline expired "
-                        "during shard respawn"
-                    ))
+            if (flight.deadline or float("inf")) <= time.perf_counter():
+                self._fail([flight], ServiceTimeout(
+                    f"{flight.request.kind} request deadline expired "
+                    "during shard respawn"
+                ))
                 continue
             _REDELIVERED.add()
             self._emit("shard.redeliver", WARN, shard=shard.index,
                        request_id=flight.request_id,
                        delivery=flight.deliveries + 1)
-            flight.deliveries += 1
-            replacement.inflight[flight.request_id] = flight
-            try:
-                await self._write(replacement, flight.frame())
-            except Exception as exc:
-                replacement.inflight.pop(flight.request_id, None)
-                if not flight.future.done():
-                    flight.future.set_exception(ServiceClosed(
-                        f"redelivery to respawned shard failed: {exc}"
-                    ))
+            self._route(flight)
 
-    def _fail_flights(self, flights, error: BaseException) -> None:
+    def _fail(self, flights, error: BaseException) -> None:
         for flight in flights:
-            if not flight.future.done():
-                _REQUESTS.labels(
-                    shard=str(flight.shard if flight.shard is not None else -1),
-                    outcome="error",
-                ).add()
-                flight.future.set_exception(error)
+            shard = -1 if flight.shard is None else flight.shard
+            _REQUESTS.labels(shard=str(shard), outcome="error").add()
+            flight.future.set_exception(error)
 
-    async def _health(self) -> None:
-        while not self._closing:
-            await asyncio.sleep(self.health_interval)
-            for shard in list(self._shards):
-                if shard is None or not shard.ready:
+    def _health(self) -> None:
+        """Probe ready shards every ``health_interval`` (three misses →
+        kill) and expire parked flights on time, until closed."""
+        next_probe = time.perf_counter() + self.health_interval
+        while not self.closed:
+            self._wake.clear()
+            wake_at = min(next_probe, self._expire_parked())
+            if time.perf_counter() < next_probe:
+                self._wake.wait(max(0.0, wake_at - time.perf_counter()))
+                continue
+            shards = self._ready_shards()
+            answers = self._control_all(
+                shards, "readyz", timeout=self.health_interval * 2 + 0.5
+            )
+            for shard, answer in zip(shards, answers):
+                if not isinstance(answer, BaseException):
+                    shard.remote, shard.misses = answer, 0
                     continue
-                try:
-                    state = await self._control(
-                        shard, "readyz",
-                        timeout=self.health_interval * 2 + 0.5,
-                    )
-                except Exception:
-                    shard.misses += 1
-                    if shard.misses >= 3 and shard.proc.returncode is None:
-                        self._emit("shard.unresponsive", WARN, shard=shard.index,
-                                   pid=shard.proc.pid, misses=shard.misses)
-                        shard.proc.kill()
-                else:
-                    shard.remote = state
-                    shard.misses = 0
+                shard.misses += 1
+                if shard.misses >= 3 and shard.proc.poll() is None:
+                    self._emit("shard.unresponsive", WARN, shard=shard.index,
+                               pid=shard.proc.pid, misses=shard.misses)
+                    shard.proc.kill()
+            next_probe = time.perf_counter() + self.health_interval
+
+    def _expire_parked(self) -> float:
+        """Fail parked flights past their grace window; next grace end."""
+        now = time.perf_counter()
+        with self._lock:
+            expired = [f for f in self._parked if f.grace_end <= now]
+            self._parked = [f for f in self._parked if f.grace_end > now]
+            next_end = min((f.grace_end for f in self._parked),
+                           default=float("inf"))
+        self._fail(expired, ServiceOverloaded(
+            "no shard became routable within the dispatch grace window "
+            f"({DISPATCH_GRACE_SECONDS:g}s)"
+        ))
+        return next_end
 
     # -- routing -------------------------------------------------------------
 
-    async def _pick(self, flight: _Flight) -> _Shard | None:
-        grace_end = time.perf_counter() + DISPATCH_GRACE_SECONDS
-        if flight.deadline is not None:
-            grace_end = min(grace_end, flight.deadline)
-        preference = (
-            None if flight.routing_key is None
-            else self.ring.preference(flight.routing_key)
-        )
-        while True:
-            if self._closing:
-                raise ServiceClosed("sharded service is shut down")
-            if preference is None:
-                ready = [s for s in self._shards if s is not None and s.ready]
-                if ready:
-                    return ready[next(self._rr) % len(ready)]
-            else:
-                for index in preference:
-                    shard = self._shards[index]
-                    if shard is not None and shard.ready:
-                        return shard
-            remaining = grace_end - time.perf_counter()
-            if remaining <= 0:
-                return None
-            self._ready_event.clear()
-            try:
-                await asyncio.wait_for(self._ready_event.wait(), remaining)
-            except asyncio.TimeoutError:
-                return None
+    def _ready_shards(self) -> list[_Shard]:
+        return [s for s in self._shards if s is not None and s.ready]
 
-    async def _dispatch(self, flight: _Flight) -> None:
-        try:
-            shard = await self._pick(flight)
+    def _pick(self, flight: _Flight) -> _Shard | None:
+        if flight.preference is None:
+            ready = self._ready_shards()
+            return ready[next(self._rr) % len(ready)] if ready else None
+        for index in flight.preference:
+            shard = self._shards[index]
+            if shard is not None and shard.ready:
+                return shard
+        return None
+
+    def _route(self, flight: _Flight) -> None:
+        """Send ``flight`` to its first ready shard, or park it until
+        one is ready (never blocks on readiness)."""
+        while True:
+            shard = self._pick(flight)
             if shard is None:
-                raise ServiceOverloaded(
-                    "no shard became routable within the dispatch grace "
-                    f"window ({DISPATCH_GRACE_SECONDS:g}s)"
-                )
+                with self._lock:
+                    # re-check under the lock ``_start`` takes the parked
+                    # list with, so a shard made ready meanwhile is seen
+                    shard = self._pick(flight)
+                    park = shard is None and not self._closed
+                    if park:
+                        flight.grace_end = min(
+                            time.perf_counter() + DISPATCH_GRACE_SECONDS,
+                            flight.deadline or float("inf"),
+                        )
+                        self._parked.append(flight)
+                if park:
+                    self._wake.set()
+                    return
+                if shard is None:
+                    self._fail([flight], ServiceClosed("sharded service is shut down"))
+                    return
             flight.shard = shard.index
             flight.deliveries += 1
-            shard.inflight[flight.request_id] = flight
-            await self._write(shard, flight.frame())
-        except BaseException as exc:  # noqa: BLE001 — surfaced on the caller's future
-            if flight.shard is not None:
-                shard = self._shards[flight.shard]
-                if shard is not None:
-                    shard.inflight.pop(flight.request_id, None)
-            if not flight.future.done():
-                flight.future.set_exception(exc)
+            if shard.send(flight.request_id, flight, flight.frame()):
+                return
+            flight.deliveries -= 1  # the shard closed first: pick again
 
     # -- the client-facing request path --------------------------------------
 
@@ -602,9 +647,10 @@ class ShardedService:
                origin: str = "client") -> ShardReply:
         """Route one request; returns its :class:`ShardReply`.
 
-        Serialization happens here, client-side — a subject the wire
-        cannot carry raises :class:`~repro.service.wire.WireError` at
-        submit time, before anything is queued."""
+        Serialization happens here, on the caller's thread — a subject
+        the wire cannot carry raises :class:`~repro.service.wire.WireError`
+        at submit time, before anything is queued.  Never blocks on
+        shard readiness."""
         if not isinstance(request, Request):
             raise TypeError(
                 f"submit() takes a Request, not {type(request).__name__!r}"
@@ -616,7 +662,6 @@ class ShardedService:
         deadline = (
             None if timeout is None else time.perf_counter() + timeout
         )
-        wire_request = encode_request(request)
         try:
             routing_key = _routing_key_of(request)
         except Exception:
@@ -624,27 +669,11 @@ class ShardedService:
             # subject outside its lattice); route it anyway and let the
             # shard raise the real, helpful error on compute.
             routing_key = None
-        context = RequestContext(
-            kind=request.kind, origin=origin, deadline=deadline
-        )
         flight = _Flight(
-            request_id=context.request_id,
-            request=request,
-            wire=wire_request,
-            deadline=deadline,
-            origin=origin,
-            routing_key=routing_key,
-            idempotent=not getattr(request, "certify", False),
+            request, deadline, origin,
+            None if routing_key is None else self.ring.preference(routing_key),
         )
-        try:
-            asyncio.run_coroutine_threadsafe(
-                self._dispatch(flight), self._loop
-            )
-        except RuntimeError as exc:
-            raise ServiceClosed(
-                "sharded service shut down while the request was being "
-                "admitted"
-            ) from exc
+        self._route(flight)
         return ShardReply(request, flight.request_id, deadline, flight.future)
 
     def request(self, request: Request, *, timeout: float | None = None,
@@ -670,26 +699,20 @@ class ShardedService:
                    timeout: float = 5.0, strict: bool = False) -> dict[int, object]:
         """One control op to every routable shard → ``{index: value}``.
         Unreachable shards are skipped unless ``strict``."""
-        async def run():
-            shards = [s for s in self._shards if s is not None and s.ready]
-            values = await asyncio.gather(
-                *(self._control(shard, op, extra, timeout) for shard in shards),
-                return_exceptions=True,
-            )
-            results: dict[int, object] = {}
-            for shard, value in zip(shards, values):
-                if isinstance(value, BaseException):
-                    if strict:
-                        raise value
-                    continue
-                results[shard.index] = value
-            return results
-
-        return self._call(run(), timeout=timeout * max(1, self.n_shards) + 5.0)
+        shards = self._ready_shards()
+        results: dict[int, object] = {}
+        for shard, answer in zip(shards,
+                                 self._control_all(shards, op, extra, timeout)):
+            if isinstance(answer, BaseException):
+                if strict:
+                    raise answer
+                continue
+            results[shard.index] = answer
+        return results
 
     @property
     def closed(self) -> bool:
-        with self._state_lock:
+        with self._lock:
             return self._closed
 
     @property
@@ -700,15 +723,14 @@ class ShardedService:
 
     def readiness(self) -> dict:
         """The ``/readyz`` routing contract, tier-wide: routable iff the
-        service is open and *every* shard is up (a request may hash to
-        any of them)."""
-        rows = []
-        for shard in list(self._shards):
-            if shard is None:
-                continue
+        service is open and *every* shard has answered (a request may
+        hash to any of them)."""
+        rows, pending = [], 0
+        for shard in [s for s in self._shards if s is not None]:
             row = {"shard": shard.index, "ready": shard.ready,
                    "pid": shard.proc.pid, "generation": shard.generation,
                    "pending": len(shard.inflight)}
+            pending += row["pending"]
             for key in ("pending", "max_pending", "saturation", "workers"):
                 if key in shard.remote:
                     row[key] = shard.remote[key]
@@ -720,40 +742,32 @@ class ShardedService:
             "closed": closed,
             "n_shards": self.n_shards,
             "ready_shards": ready_shards,
-            "pending": sum(
-                len(shard.inflight)
-                for shard in self._shards if shard is not None
-            ),
+            "pending": pending,
             "max_pending": self.max_pending_per_shard * self.n_shards,
             "shards": rows,
         }
 
+    def _shard_rows(self, op: str) -> list[dict]:
+        return [
+            {**row, "shard": index}
+            for index, rows in sorted(self._broadcast(op).items())
+            for row in rows
+        ]
+
     def inflight(self) -> list[dict]:
         """The tier-wide live request table, each row tagged with its
         shard, oldest first."""
-        rows = []
-        for index, shard_rows in sorted(self._broadcast("inflight").items()):
-            for row in shard_rows:
-                row["shard"] = index
-                rows.append(row)
-        rows.sort(key=lambda row: row.get("age_seconds", 0.0), reverse=True)
-        return rows
+        return sorted(self._shard_rows("inflight"),
+                      key=lambda row: row.get("age_seconds", 0.0),
+                      reverse=True)
 
     def slow_log(self) -> list[dict]:
         """Every shard's retained slow-request entries, shard-tagged."""
-        rows = []
-        for index, shard_rows in sorted(self._broadcast("slowlog").items()):
-            for row in shard_rows:
-                row["shard"] = index
-                rows.append(row)
-        return rows
+        return self._shard_rows("slowlog")
 
     def snapshot(self) -> dict:
         """The tier dashboard: per-shard snapshots plus summed totals."""
-        per_shard = {
-            index: value
-            for index, value in sorted(self._broadcast("snapshot").items())
-        }
+        per_shard = dict(sorted(self._broadcast("snapshot").items()))
         totals: dict[str, float] = {}
         for snap in per_shard.values():
             for key, value in snap.items():
@@ -765,52 +779,33 @@ class ShardedService:
 
     def shard_pids(self) -> list[int]:
         """Current worker pids by shard index (chaos-test surface)."""
-        return [
-            shard.proc.pid for shard in self._shards if shard is not None
-        ]
+        return [shard.proc.pid for shard in self._shards if shard is not None]
 
     # -- lifecycle ----------------------------------------------------------
 
-    async def _shutdown_async(self, wait: bool) -> None:
-        self._closing = True
-        if self._health_task is not None:
-            self._health_task.cancel()
-        shards = [s for s in self._shards if s is not None]
-        for shard in shards:
-            shard.ready = False
-            try:
-                await self._control(shard, "shutdown", timeout=0.5)
-            except Exception:
-                pass
-        for shard in shards:
-            try:
-                await asyncio.wait_for(
-                    shard.proc.wait(), 5.0 if wait else 0.5
-                )
-            except asyncio.TimeoutError:
-                shard.proc.kill()
-                await shard.proc.wait()
-            leftovers = list(shard.inflight.values())
-            shard.inflight.clear()
-            self._fail_flights(leftovers, ServiceClosed(
-                "sharded service is shut down"
-            ))
-
     def shutdown(self, wait: bool = True) -> None:
-        """Refuse new requests, stop every shard, then stop the loop."""
-        with self._state_lock:
-            already = self._closed
+        """Refuse new requests, fail parked ones, stop every shard (with
+        ``wait``, in-flight work drains first) and join the threads."""
+        with self._lock:
+            if self._closed:
+                return
             self._closed = True
-        if already:
-            return
+            parked, self._parked = self._parked, []
         self._emit("router.shutdown", wait=wait)
-        try:
-            self._call(self._shutdown_async(wait), timeout=60.0)
-        finally:
-            self._loop.call_soon_threadsafe(self._loop.stop)
-            self._thread.join(timeout=10.0)
-            if not self._thread.is_alive():
-                self._loop.close()
+        self._wake.set()
+        self._fail(parked, ServiceClosed("sharded service is shut down"))
+        shards = [s for s in self._shards if s is not None]
+        self._control_all(shards, "shutdown", timeout=0.5)
+        for shard in shards:
+            try:
+                shard.proc.wait(5.0 if wait else 0.5)
+            except subprocess.TimeoutExpired:
+                shard.proc.kill()
+                shard.proc.wait()
+        # Each reader's exit path fails what was still in flight.
+        for thread in [s.reader for s in shards] + [self._health_thread]:
+            if thread is not None and thread is not threading.current_thread():
+                thread.join(timeout=10.0)
 
     def __enter__(self) -> "ShardedService":
         return self

@@ -390,7 +390,11 @@ _ERRORS_BY_NAME = MappingProxyType({
 
 
 def encode_error(exc: BaseException) -> dict:
-    return {"type": type(exc).__name__, "message": str(exc)}
+    # A lone string argument travels as itself: ``str(KeyError("k"))`` is
+    # ``"'k'"``, which the rebuilt KeyError would quote once more.
+    args = exc.args
+    message = args[0] if len(args) == 1 and isinstance(args[0], str) else str(exc)
+    return {"type": type(exc).__name__, "message": message}
 
 
 def decode_error(payload: dict) -> BaseException:

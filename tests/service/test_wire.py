@@ -243,6 +243,17 @@ class TestErrors:
         assert type(rebuilt) is exc_type
         assert "boom" in str(rebuilt)
 
+    @pytest.mark.parametrize("error", [
+        KeyError("k"), ValueError("bad value"), ServiceTimeout("too slow"),
+    ])
+    def test_message_survives_crossings_unchanged(self, error):
+        """``str(KeyError("k"))`` is ``"'k'"``: the message must not gain
+        a layer of quotes on each crossing."""
+        once = decode_error(encode_error(error))
+        assert type(once) is type(error)
+        assert str(once) == str(error)
+        assert str(decode_error(encode_error(once))) == str(error)
+
     def test_unknown_error_degrades_to_service_error(self):
         class Bespoke(RuntimeError):
             pass
