@@ -5,10 +5,12 @@ A repeated 100-request workload (decompose/classify/check over a small
 formula family, *with every subject freshly re-parsed and automata
 freshly re-translated and renumbered* — so nothing is cached by object
 identity, only up to isomorphism) is served twice: cold on an empty
-cache, then warm.  The acceptance number for the PR — warm beats cold by
-≥ 10× — is *reported* here into ``BENCH_service.json``; the CI-enforced
-bar is deliberately lower (≥ 3× plus an exact all-hits cache check), so
-a loaded shared runner cannot flake a correct build on wall-clock noise.
+cache, then warm — on an inline (``workers=0``) client and on a default
+pooled one, whose warm pass must never start its worker pool.  The
+acceptance number — warm beats cold by ≥ 10× — is *reported* here into
+``BENCH_service.json``; the CI-enforced bar is deliberately lower (≥ 3×
+plus an exact all-hits cache check), so a loaded shared runner cannot
+flake a correct build on wall-clock noise.
 """
 
 import pytest
@@ -71,6 +73,23 @@ def test_warm_service(benchmark):
     benchmark(_serve, client, _workload())  # fresh objects, warm cache
     info = client.transport.service.cache.info()
     assert info.hits > info.misses
+
+
+def test_warm_service_pooled(benchmark):
+    """The warm pass on a default (4-worker) in-process client, over a
+    cache a ``workers=0`` client warmed.  Hits are served on the
+    submitting thread, so an all-hit pass never starts the worker pool;
+    the assertion fails if a pool handoff comes back onto the hit path."""
+    cache = ResultCache(maxsize=1024)
+    with Client.in_process(workers=0, cache=cache) as warm:
+        _serve(warm, _workload())
+    before = cache.info()
+    with Client.in_process(cache=cache) as client:
+        benchmark(_serve, client, _workload())
+        assert client.transport.service.pool.started is False
+    info = cache.info()
+    assert info.hits > before.hits
+    assert info.misses == before.misses
 
 
 def test_certified_decompose_warm(benchmark):

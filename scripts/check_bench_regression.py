@@ -43,6 +43,7 @@ GUARDED = (
     ("BENCH_checks.json", "benchmarks/test_bench_checks.py"),
     ("BENCH_service_sharded.json", "benchmarks/test_bench_service_sharded.py"),
     ("BENCH_rv_throughput.json", "benchmarks/test_bench_rv_throughput.py"),
+    ("BENCH_service.json", "benchmarks/test_bench_service.py"),
 )
 
 #: Absolute slack added to every threshold: sub-50ms benchmarks on a

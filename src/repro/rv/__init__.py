@@ -16,7 +16,8 @@ the traffic.  Layering (each layer only knows the one below):
   bounded-queue backpressure and per-session finitary horizons
   (:class:`TraceSession`, :class:`SessionManager`);
 * :mod:`repro.rv.pool` — the shared inline-or-parallel
-  :class:`WorkerPool` (also dispatches :mod:`repro.service` requests);
+  :class:`WorkerPool` (also runs :mod:`repro.service` cache misses and
+  certificate replays);
 * :mod:`repro.rv.engine` — batched ingest, monitor-grouped dispatch
   over the pool, verdict-transition recording (:class:`RvEngine`);
 * :mod:`repro.rv.stats` — the engine's measurements

@@ -5,6 +5,10 @@ touch the lock once, misses *compute outside the lock* (decompositions
 can take milliseconds — serializing them behind the cache lock would
 turn the cache into a throttle) and re-check before inserting, so a
 losing racer adopts the winner's value instead of double-inserting.
+:meth:`ResultCache.lookup` is the hit half on its own — the service
+serves hits with it on the submitting thread and hands only misses to
+its worker pool, whose :meth:`~ResultCache.get_or_compute` counts the
+miss — so every request is counted exactly once.
 Keys are the canonical structural hashes of :mod:`repro.canonical` —
 renaming-invariant, so isomorphic subjects share one cache line.
 
@@ -28,9 +32,9 @@ from dataclasses import dataclass
 
 from repro.ops.journal import INFO, JOURNAL, EventJournal
 
-#: Distinguishes "no entry" from a legitimately-cached ``None`` value in
-#: the post-compute race re-check.
-_MISSING = object()
+#: What :meth:`ResultCache.lookup` returns for an absent key —
+#: distinguishes "no entry" from a legitimately-cached ``None`` value.
+MISS = object()
 
 
 class _Line:
@@ -128,13 +132,9 @@ class ResultCache:
         compute unconditionally and store nothing."""
         if key is None:
             return compute(), False
-        with self._lock:
-            line = self._entries.get(key)
-            if line is not None:
-                self._entries.move_to_end(key)
-                self._hits += 1
-                line.hits += 1
-                return line.value, True
+        value = self.lookup(key)
+        if value is not MISS:
+            return value, True
         value = compute()
         evicted: list[str] = []
         with self._lock:
@@ -154,6 +154,20 @@ class ResultCache:
         self._note_evicted(evicted)
         return value, False
 
+    def lookup(self, key: str) -> object:
+        """The value cached under ``key`` — counted as a hit and moved to
+        the LRU's hot end — or :data:`MISS`, counted nowhere: the caller's
+        follow-up :meth:`get_or_compute` counts that request's miss (or
+        its hit, when a racer filled the line in between)."""
+        with self._lock:
+            line = self._entries.get(key)
+            if line is None:
+                return MISS
+            self._entries.move_to_end(key)
+            self._hits += 1
+            line.hits += 1
+            return line.value
+
     def put(self, key: str, value: object) -> None:
         """Insert eagerly (warm start)."""
         evicted: list[str] = []
@@ -171,7 +185,7 @@ class ResultCache:
         ``rejected=True`` marks a certificate-replay failure (the
         ``verify_on_hit`` path), counted separately in :meth:`stats`."""
         with self._lock:
-            dropped = self._entries.pop(key, _MISSING) is not _MISSING
+            dropped = self._entries.pop(key, MISS) is not MISS
             if dropped and rejected:
                 self._rejected += 1
         return dropped

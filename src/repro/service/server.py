@@ -4,9 +4,13 @@
 reproduction: clients submit typed requests (:mod:`.requests`), a
 bounded admission gate keeps the in-flight set finite (full ⇒
 :class:`~repro.service.requests.ServiceOverloaded` at submit time,
-never a silent block), the shared :class:`~repro.rv.pool.WorkerPool`
-runs the analyses, and a canonical-key LRU (:mod:`.cache`) answers
+never a silent block), and a canonical-key LRU (:mod:`.cache`) answers
 repeats — including repeats up to state renaming — without recomputing.
+A repeat is answered on the submitting thread: ``submit()`` builds the
+key and reads the cache itself, and returns an already-resolved reply
+on a hit.  The shared :class:`~repro.rv.pool.WorkerPool` runs only the
+requests with work to do — misses, uncacheable requests and
+certificate replays — and they carry their key with them.
 
 Graceful degradation, in order of preference:
 
@@ -48,10 +52,10 @@ from repro.obs.metrics import REGISTRY
 from repro.obs.trace import NULL_SPAN, NULL_TRACER
 
 from repro.ops.journal import DEBUG, INFO, JOURNAL, WARN, EventJournal
-from repro.rv.pool import WorkerPool
+from repro.rv.pool import WorkerPool, resolved
 
 from . import handlers
-from .cache import ResultCache
+from .cache import MISS, ResultCache
 from .requests import (
     Request,
     ServiceClosed,
@@ -190,8 +194,10 @@ class AnalysisService:
     Parameters
     ----------
     workers:
-        Pool size for request dispatch (``<= 1`` computes inline inside
-        :meth:`submit` — same results, no concurrency).
+        Pool size for the requests that miss the cache or replay a
+        certificate (``<= 1`` computes them inline inside :meth:`submit`
+        — same results, no concurrency).  Cache hits never reach the
+        pool: :meth:`submit` serves them on the calling thread.
     max_pending:
         Admission bound on requests in flight; the ``max_pending+1``-th
         concurrent submit raises :class:`ServiceOverloaded`.
@@ -274,6 +280,10 @@ class AnalysisService:
                request_id: str | None = None) -> PendingReply:
         """Admit one request, returning its :class:`PendingReply`.
 
+        A cache hit is answered here, on the calling thread, and its
+        reply comes back already resolved; misses, uncacheable requests
+        and certificate replays run on the worker pool.
+
         Raises :class:`ServiceOverloaded` when ``max_pending`` requests
         are already in flight and :class:`ServiceClosed` after
         :meth:`shutdown` — both *before* any work is queued.  ``origin``
@@ -342,9 +352,27 @@ class AnalysisService:
                 enqueue_span.set(pending=depth)
         reply = PendingReply(request, deadline, self.tracer, enqueue_span,
                              context, self.journal)
+        key_error = None
+        try:
+            key = handlers.cache_key(request)
+            value = MISS if key is None else self.cache.lookup(key)
+        except Exception as exc:  # noqa: BLE001 — result() re-raises it
+            # a subject the key cannot be built for fails its request,
+            # never the submit() call
+            key, value, key_error = None, MISS, exc
+        if key_error is not None or (
+                value is not MISS and not self._needs_replay(value)):
+            reply._future = resolved(self._process, reply, submitted_at,
+                                     key, value, None, key_error)
+            return reply
+        handed_off = time.perf_counter()
+        if context is not None:
+            # the key and the lookup open the compute phase; the queue
+            # phase starts here
+            context.note_phase("compute", handed_off - submitted_at)
         try:
             reply._future = self.pool.submit(
-                self._process, request, deadline, submitted_at, reply
+                self._process, reply, submitted_at, key, value, handed_off
             )
         except BaseException as exc:
             # submit() can race shutdown(): _closed is checked under the
@@ -371,11 +399,28 @@ class AnalysisService:
         """Submit and wait: ``submit(...).result()`` in one call."""
         return self.submit(request, timeout=timeout, origin=origin).result()
 
+    def _needs_replay(self, value) -> bool:
+        """Whether serving this cached value means replaying its
+        certificate first (``verify_on_hit``)."""
+        return (self.verify_on_hit
+                and getattr(value, "certificate", None) is not None)
+
     def _process(
-        self, request: Request, deadline: float | None,
-        submitted_at: float, reply: PendingReply,
+        self, reply: PendingReply, submitted_at: float, key: str | None,
+        value, handed_off: float | None,
+        key_error: Exception | None = None,
     ) -> ServiceResult:
+        """Build one request's :class:`ServiceResult` — the only place
+        one is built, for every request.
+
+        A cache hit runs here on the submitting thread (``handed_off`` is
+        ``None``; ``value`` is the cached value); a miss or a replay runs
+        on a pool worker (``value`` is :data:`~repro.service.cache.MISS`
+        or the certificate-bearing hit).  ``key_error`` is what building
+        the key raised, re-raised here as the request's compute error."""
+        request = reply.request
         kind = request.kind
+        deadline = reply.deadline
         context = reply.context
         request_id = context.request_id if context is not None else None
         span = NULL_SPAN
@@ -384,9 +429,14 @@ class AnalysisService:
                 "service.compute", parent=reply._enqueue_span, kind=kind
             )
         picked_up = time.perf_counter()
-        if context is not None:
-            # Phase 1 of the wall-time partition: submit → worker pickup.
-            context.note_phase("queue", picked_up - submitted_at)
+        # The wall-time partition: on the submitting thread ``compute``
+        # runs from submit; a handed-off request adds ``queue`` (handoff →
+        # worker pickup) and a second ``compute`` stretch from pickup.
+        compute_started = submitted_at
+        if handed_off is not None:
+            compute_started = picked_up
+            if context is not None:
+                context.note_phase("queue", picked_up - handed_off)
         try:
             with span, use_context(context):
                 reply._compute_span = span
@@ -398,28 +448,29 @@ class AnalysisService:
                     span.set(outcome="expired")
                     self._emit("service.request_timeout", WARN,
                                request_id=request_id, kind=kind,
-                               where="worker",
+                               where="submit" if handed_off is None
+                               else "worker",
                                detail="deadline expired before compute")
                     raise ServiceTimeout(
                         f"{kind} request deadline expired before compute"
                     )
                 try:
-                    compute_started = time.perf_counter()
-                    key = handlers.cache_key(request)
+                    if key_error is not None:
+                        raise key_error
                     try:
-                        value, hit = self.cache.get_or_compute(
-                            key, lambda: handlers.compute(request)
-                        )
+                        hit = value is not MISS
+                        if not hit:
+                            value, hit = self.cache.get_or_compute(
+                                key, lambda: handlers.compute(request)
+                            )
                     finally:
                         if context is not None:
-                            # Phase 2: canonical key + cache lookup +
-                            # (on miss) handler compute.
                             context.note_phase(
                                 "compute",
                                 time.perf_counter() - compute_started,
                             )
                     event = "hit" if hit else ("miss" if key else "uncacheable")
-                    if hit and self.verify_on_hit:
+                    if hit and self._needs_replay(value):
                         verify_started = time.perf_counter()
                         try:
                             value, hit, event = self._replay_hit(
@@ -427,7 +478,7 @@ class AnalysisService:
                             )
                         finally:
                             if context is not None:
-                                # Phase 3: certificate replay on hits.
+                                # the certificate replay is its own phase
                                 context.note_phase(
                                     "verify",
                                     time.perf_counter() - verify_started,
@@ -441,6 +492,7 @@ class AnalysisService:
                                request_id=request_id, kind=kind,
                                outcome="error", error=type(exc).__name__)
                     raise
+                elapsed = time.perf_counter() - submitted_at
                 _CACHE_EVENTS.labels(kind=kind, event=event).add()
                 journal = self.journal
                 if journal is not None:
@@ -452,7 +504,6 @@ class AnalysisService:
                     elif journal.min_level <= DEBUG:
                         journal.emit("cache." + event, DEBUG,
                                      request_id=request_id, kind=kind, key=key)
-                elapsed = time.perf_counter() - submitted_at
                 _LATENCY.labels(kind=kind).record(elapsed)
                 _REQUESTS.labels(kind=kind, outcome="ok").add()
                 span.set(outcome="ok", cache=event)
@@ -507,16 +558,12 @@ class AnalysisService:
                     request_id: str | None = None):
         """Re-verify a certificate-bearing cache hit before serving it.
 
-        Values without a certificate pass through untouched (there is
-        nothing to replay).  A certificate the independent verifier
-        rejects means the cache line cannot be trusted — evict it,
-        recompute fresh, and re-insert the new value."""
-        certificate = getattr(value, "certificate", None)
-        if certificate is None:
-            return value, True, "hit"
+        A certificate the independent verifier rejects means the cache
+        line cannot be trusted — evict it, recompute fresh, and re-insert
+        the new value."""
         from repro.certs import verify_certificate
 
-        if verify_certificate(certificate).ok:
+        if verify_certificate(value.certificate).ok:
             self._emit("cert.verify_pass", request_id=request_id, key=key)
             return value, True, "hit"
         self._emit("cert.verify_fail", WARN, request_id=request_id, key=key)

@@ -10,7 +10,10 @@ verify-on-hit — behind length-prefixed JSON frames on stdin/stdout
   deadlines, metrics, spans and the request context all apply
   unchanged) and streams each reply frame from a completion callback —
   requests multiplex freely over the one pipe, replies return in
-  completion order, matched by id.  The router's trace id rides in as
+  completion order, matched by id.  A cache hit completes inside
+  ``submit()``, so the dispatch loop queues its reply frame itself
+  before reading the next one; only misses and certificate replays
+  complete on the service's worker pool.  The router's trace id rides in as
   ``request_id``, so the shard-side in-flight table, slow-log and
   journal show the *same* id the client holds.
 * control frames (``ping``/``readyz``/``cache_stats``/``inflight``/

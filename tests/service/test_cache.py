@@ -33,6 +33,19 @@ class TestBasics:
         assert (info.hits, info.misses, info.size) == (1, 2, 2)
         assert info.hit_ratio == pytest.approx(1 / 3)
 
+    def test_lookup_counts_only_hits(self):
+        from repro.service.cache import MISS
+
+        cache = ResultCache(maxsize=2)
+        assert cache.lookup("a") is MISS
+        cache.put("a", None)
+        cache.put("b", 2)
+        assert cache.lookup("a") is None  # a cached None is a hit
+        cache.put("c", 3)  # "a" was touched, so "b" is evicted
+        assert cache.lookup("b") is MISS
+        info = cache.info()
+        assert (info.hits, info.misses) == (1, 0)
+
     def test_put_and_contains(self):
         cache = ResultCache()
         cache.put("warm", "value")

@@ -9,7 +9,7 @@ import pytest
 from repro.buchi import BuchiAutomaton
 from repro.lattice import LatticeClosure, boolean_lattice
 from repro.ltl import parse, translate
-from repro.obs import Tracer
+from repro.obs import REGISTRY, Tracer
 from repro.service import (
     AnalysisService,
     CheckRequest,
@@ -26,6 +26,22 @@ ALPHABET = frozenset({"a", "b"})
 
 def automaton(text="a & F !a"):
     return translate(parse(text), "ab")
+
+
+def counter(name, **labels):
+    """The current value of one labeled child of a service counter."""
+    family = REGISTRY.counter(name, labelnames=tuple(labels))
+    return family.labels(**labels).value
+
+
+def warmed_cache(texts):
+    """A cache holding the decompositions of ``texts``, filled through
+    a ``workers=0`` service so no pool ever ran."""
+    cache = ResultCache()
+    with AnalysisService(workers=0, cache=cache) as warm:
+        for text in texts:
+            warm.request(DecomposeRequest(automaton(text)))
+    return cache
 
 
 @pytest.fixture
@@ -189,6 +205,23 @@ class TestDegradation:
         monkeypatch.undo()
         svc.shutdown()
 
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_key_errors_surface_from_result_not_submit(self, workers):
+        """The key is built on the submitting thread, but a subject it
+        cannot be built for fails the request like any compute error:
+        from ``result()``, counted as an error, admission rolled back."""
+        lat = boolean_lattice(2)
+        cl = LatticeClosure.from_closed_elements(lat, [frozenset({0})])
+        before = counter("repro_service_requests_total",
+                         kind="decompose", outcome="error")
+        with AnalysisService(workers=workers) as svc:
+            reply = svc.submit(DecomposeRequest(frozenset({7}), closure=cl))
+            with pytest.raises(KeyError, match="not in lattice"):
+                reply.result()
+            assert svc.pending == 0
+        assert counter("repro_service_requests_total",
+                       kind="decompose", outcome="error") == before + 1
+
     def test_compute_errors_reach_the_caller(self, service):
         with pytest.raises(TypeError, match="alphabet"):
             service.request(DecomposeRequest(parse("G a")))
@@ -196,6 +229,86 @@ class TestDegradation:
     def test_max_pending_validation(self):
         with pytest.raises(ValueError):
             AnalysisService(max_pending=0)
+
+
+class TestHitPath:
+    """Cache hits are served on the submitting thread: no pool handoff,
+    and every request limit still applies."""
+
+    TEXTS = ("G a", "F b", "a U b", "GF a", "a & F !a")
+
+    def test_hits_never_touch_the_pool(self):
+        cache = warmed_cache(self.TEXTS)
+        before = cache.info()
+        with AnalysisService(workers=4, cache=cache) as svc:
+            replies = [
+                svc.submit(DecomposeRequest(
+                    automaton(self.TEXTS[index % len(self.TEXTS)])))
+                for index in range(50)
+            ]
+            results = [reply.result() for reply in replies]
+            assert svc.pool.started is False
+        after = cache.info()
+        assert after.hits - before.hits == 50
+        assert after.misses == before.misses
+        assert all(result.cached for result in results)
+        for reply, result in zip(replies, results):
+            phases = reply.context.phases()
+            assert "queue" not in phases
+            # DESIGN §11: the phases partition the request's wall time
+            assert sum(phases.values()) == pytest.approx(
+                result.elapsed_seconds, rel=0.2)
+
+    def test_overload_rejects_cached_requests(self, monkeypatch):
+        import repro.service.handlers as handlers_module
+
+        cache = warmed_cache(["G a"])
+        release = threading.Event()
+        real_compute = handlers_module.compute
+
+        def wedged(request):
+            release.wait(timeout=5)
+            return real_compute(request)
+
+        monkeypatch.setattr(handlers_module, "compute", wedged)
+        with AnalysisService(workers=2, max_pending=2, cache=cache) as svc:
+            wedged_replies = [svc.submit(DecomposeRequest(automaton("F b")))
+                              for _ in range(2)]
+            with pytest.raises(ServiceOverloaded):
+                svc.submit(DecomposeRequest(automaton("G a")))
+            release.set()
+            for reply in wedged_replies:
+                assert not reply.result().cached
+
+    def test_expired_deadline_sheds_cached_requests(self):
+        cache = warmed_cache(["G a"])
+        before = counter("repro_service_timeouts_total", kind="decompose")
+        with AnalysisService(workers=2, cache=cache) as svc:
+            reply = svc.submit(DecomposeRequest(automaton("G a")), timeout=0.0)
+            with pytest.raises(ServiceTimeout, match="before compute"):
+                reply.result()
+            assert svc.pending == 0
+        assert counter("repro_service_timeouts_total",
+                       kind="decompose") == before + 1
+
+    def test_closed_service_rejects_cached_requests(self):
+        svc = AnalysisService(workers=2, cache=warmed_cache(["G a"]))
+        svc.shutdown()
+        with pytest.raises(ServiceClosed):
+            svc.submit(DecomposeRequest(automaton("G a")))
+
+    def test_certificate_hits_replay_on_the_pool(self):
+        cache = ResultCache()
+        request = DecomposeRequest(automaton(), certify=True)
+        with AnalysisService(workers=0, cache=cache) as warm:
+            warm.request(request)
+        with AnalysisService(workers=2, cache=cache,
+                             verify_on_hit=True) as svc:
+            reply = svc.submit(DecomposeRequest(automaton(), certify=True))
+            result = reply.result()
+            assert svc.pool.started is True
+        assert result.cached
+        assert {"compute", "queue", "verify"} <= set(reply.context.phases())
 
 
 class TestConcurrency:

@@ -173,6 +173,30 @@ class TestWorkerProtocol:
         piped_worker.thread.join(timeout=10.0)
         assert not piped_worker.thread.is_alive()
 
+    def test_hits_are_served_without_the_pool(self):
+        """A shard serves cache hits on its dispatch thread: 20 frames
+        for a warmed request all come back cached under their own ids,
+        and the shard's worker pool never starts."""
+        from repro.service import handlers
+
+        request = DecomposeRequest(parse("G a"), alphabet=ALPHABET)
+        service = AnalysisService(workers=2, max_pending=16)
+        service.cache.put(handlers.cache_key(request),
+                          handlers.compute(request))
+        worker = _PipedWorker(service)
+        try:
+            ids = [f"r{index}" for index in range(20)]
+            for frame_id in ids:
+                worker.send({"id": frame_id, "op": "request",
+                             "request": request.to_wire()})
+            replies = [worker.recv() for _ in ids]
+            assert sorted(reply["id"] for reply in replies) == sorted(ids)
+            assert all(reply["ok"] and reply["result"]["cached"]
+                       for reply in replies)
+            assert service.pool.started is False
+        finally:
+            worker.close()
+
     def test_cached_none_adopted_across_the_wire(self, monkeypatch):
         """PR-4 regression, rerun over the wire: a handler returning
         ``None`` must arrive as a real ``None`` value and be *adopted*
