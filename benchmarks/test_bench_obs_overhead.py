@@ -44,7 +44,7 @@ import statistics
 import time
 import timeit
 
-from repro.obs.context import RequestContext, use_context
+from repro.obs.trace import RequestContext, Span
 from repro.ops.journal import DEBUG, EventJournal
 from repro.ops.sampler import SamplingProfiler
 from repro.service import AnalysisService, ResultCache
@@ -119,25 +119,25 @@ def _interleaved_ratios(service_a, service_b, rounds: int = 48) -> dict:
 
 def _instrumentation_us_per_request() -> float:
     """The isolated per-request production-posture instrumentation
-    sequence (context create + phase notes + activation + the journal
-    level checks), timed tightly."""
+    sequence (root span create + entry, a queue and a compute phase
+    span, the journal level check, and the exit that closes the root),
+    timed tightly."""
     journal = EventJournal(maxlen=65536)
     number = 50_000
     seconds = timeit.timeit(
         stmt=(
             'ctx = RequestContext(kind="decompose", deadline=None)\n'
-            'ctx.note_phase("queue", 1e-5)\n'
-            "active = use_context(ctx)\n"
-            "active.__enter__()\n"
-            'ctx.note_phase("compute", 5e-5)\n'
-            "rid = ctx.request_id\n"
+            "ctx.__enter__()\n"
+            'Span("queue", start=ctx.start).close()\n'
+            'with Span("compute"):\n'
+            "    rid = ctx.request_id\n"
             "if journal.min_level <= DEBUG:\n"
             '    journal.emit("service.request_done", DEBUG, request_id=rid)\n'
-            "active.__exit__()\n"
+            "ctx.__exit__(None, None, None)\n"
         ),
         globals={
             "RequestContext": RequestContext,
-            "use_context": use_context,
+            "Span": Span,
             "journal": journal,
             "DEBUG": DEBUG,
         },

@@ -20,9 +20,12 @@ The three-valued verdicts stay bit-identical to feeding each trace to
 the one-shot ``repro.ltl.RvMonitor`` — the decomposition changes what
 the engine can *say*, never what it decides.
 
-The run is fully observed: a :class:`repro.obs.Tracer` records one
-``rv.ingest`` span per batch with ``rv.drain_group`` children (written
-to ``trace.json`` — load it in https://ui.perfetto.dev), verdict
+The run is fully observed: with the process-wide span recorder
+(:data:`repro.obs.RECORDER`) switched on, every batch is one
+``rv.ingest`` span with ``rv.drain_group`` children — parented across
+the worker pool — and the compile phases of each distinct policy are
+spans too (written to ``trace.json`` — load it in
+https://ui.perfetto.dev), verdict
 transitions land in the ops journal (``rv.verdict_transition``), and
 the shared metric registry's Prometheus exposition — including the
 per-verdict transition counters and verdict-latency histograms — is
@@ -36,7 +39,7 @@ import time
 from collections import Counter
 
 from repro.ltl import parse
-from repro.obs import REGISTRY, Tracer, to_prometheus
+from repro.obs import RECORDER, REGISTRY, to_prometheus
 from repro.ops.journal import EventJournal, WARN
 from repro.rv import RvEngine
 
@@ -54,9 +57,9 @@ BATCH = 8_192
 HORIZON = 8
 
 rng = random.Random(42)
-tracer = Tracer()
+RECORDER.start()
 journal = EventJournal(maxlen=65_536, min_level=WARN)
-engine = RvEngine(workers=4, horizon=HORIZON, tracer=tracer, journal=journal)
+engine = RvEngine(workers=4, horizon=HORIZON, journal=journal)
 
 specs = list(POLICIES.values())
 print(f"opening {N_SESSIONS} sessions over {len(specs)} policies "
@@ -100,10 +103,15 @@ severe = journal.events(level=WARN, name="rv.verdict_transition")
 print(f"journal                {len(severe)} WARN-level verdict "
       f"transitions (falsified / bound exceeded)")
 engine.shutdown()
+RECORDER.stop()
 
-ingest_spans = [s for s in tracer.finished() if s.name == "rv.ingest"]
-tracer.export_chrome("trace.json")
-print(f"\nwrote trace.json — {len(tracer.finished())} spans "
+spans = RECORDER.finished()
+ingest_spans = [s for s in spans if s.name == "rv.ingest"]
+drain_spans = [s for s in spans if s.name == "rv.drain_group"]
+assert len(ingest_spans) == -(-len(stream) // BATCH)
+assert all(s.parent in ingest_spans for s in drain_spans)
+RECORDER.export_chrome("trace.json")
+print(f"\nwrote trace.json — {len(spans)} spans "
       f"({len(ingest_spans)} ingest batches); open in ui.perfetto.dev")
 
 exposition = to_prometheus(REGISTRY)

@@ -1,32 +1,31 @@
-"""repro.obs — unified observability: metrics, spans, phase profiling.
+"""repro.obs — unified observability: metrics, spans, exposition.
 
-Dependency-free and shared by every package in the repo.  Five modules:
-
-* :mod:`repro.obs.context` — request-scoped attribution
-  (:class:`RequestContext`, :func:`current_context`,
-  :func:`use_context`): the contextvar-propagated identity the ops
-  plane (:mod:`repro.ops`) hangs slow-logs, journal events and
-  per-request phase breakdowns on;
+Dependency-free and shared by every package in the repo.  Four modules:
 
 * :mod:`repro.obs.metrics` — the labeled-metric registry (monotonic
   counters, gauges, log-bucketed histograms with p50/p95/p99), all
   thread-safe, all reporting through one process-wide :data:`REGISTRY`;
-* :mod:`repro.obs.trace` — span tracing (``with tracer.span(...):``)
-  with thread-local parent propagation, explicit cross-thread parents
-  for the RV worker pool, and Chrome trace-event export;
-* :mod:`repro.obs.profile` — the :func:`timed` decorator and
-  :class:`PhaseTimer` for attributing wall time to algorithm phases;
+* :mod:`repro.obs.trace` — the one timing model: :class:`Span`, whose
+  current instance lives in one contextvar (so the tree survives the
+  worker pool's context copy); :class:`RequestContext`, the root span of
+  one served request, whose direct children are its phases and deeper
+  spans its subphases (the ops plane, :mod:`repro.ops`, hangs slow-logs,
+  journal events and the in-flight table off it); and :data:`RECORDER`,
+  the process-wide switch and ring behind Chrome / JSONL trace export;
+* :mod:`repro.obs.profile` — :func:`timed` and :class:`PhaseTimer`,
+  spans that also record into a histogram, for attributing wall time to
+  algorithm phases;
 * :mod:`repro.obs.export` — Prometheus text / stable JSON / JSONL
   exposition plus :func:`dump_bench_json`, the benchmark suite's
   persistence hook.
 
 Conventions (DESIGN.md, "Observability"): metric names follow
 ``repro_<pkg>_<name>_<unit>``; metrics may sit on per-batch hot paths
-(budget: one lock acquire + one add per event), spans never sit on
-per-event paths (the engine's tracer defaults to :data:`NULL_TRACER`).
+(budget: one lock acquire + one add per event), spans sit on batches,
+phases and requests, never on single events, and the span ring is
+filled only while :data:`RECORDER` is recording.
 """
 
-from .context import RequestContext, current_context, use_context
 from .export import (
     dump_bench_json,
     parse_prometheus_text,
@@ -46,7 +45,7 @@ from .metrics import (
     REGISTRY,
 )
 from .profile import PhaseTimer, metric_name, timed
-from .trace import NULL_SPAN, NULL_TRACER, NullTracer, Span, Tracer
+from .trace import RECORDER, RequestContext, Span, current_span
 
 __all__ = [
     "REGISTRY",
@@ -57,17 +56,13 @@ __all__ = [
     "Gauge",
     "Histogram",
     "DEFAULT_GROWTH",
-    "Tracer",
-    "NullTracer",
     "Span",
-    "NULL_SPAN",
-    "NULL_TRACER",
+    "RECORDER",
+    "current_span",
     "PhaseTimer",
     "timed",
     "metric_name",
     "RequestContext",
-    "current_context",
-    "use_context",
     "to_prometheus",
     "parse_prometheus_text",
     "registry_to_dict",

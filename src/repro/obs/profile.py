@@ -1,6 +1,7 @@
-"""Phase profiling: attribute wall-time to named algorithm phases.
+"""Metric-bound spans: attribute wall time to named algorithm phases.
 
-Two entry points:
+Two entry points, both producing :class:`~repro.obs.trace.Span` s that
+also record into a histogram of the shared registry:
 
 * :func:`timed` — a decorator charging a whole function to one
   histogram::
@@ -9,8 +10,8 @@ Two entry points:
       def decompose(automaton): ...
 
   records each call's wall time into ``repro_buchi_decompose_seconds``
-  in the shared registry (dots become underscores, ``_seconds`` is
-  appended per the naming convention).
+  (dots become underscores, ``_seconds`` is appended per the naming
+  convention);
 
 * :class:`PhaseTimer` — for algorithms with internal structure::
 
@@ -19,25 +20,24 @@ Two entry points:
       with _PHASES.phase("tableau"): ...
       with _PHASES.phase("degeneralize"): ...
 
-  Each phase lands in the ``phase`` label of one histogram family
-  (``repro_ltl_translate_seconds{phase="tableau"}``), and
-  :meth:`PhaseTimer.report` gives cumulative per-phase totals.  A tracer
-  may be attached so phases double as spans.
+  Each phase is a span named ``repro.ltl.translate.tableau`` that
+  lands in the ``phase`` label of one histogram family
+  (``repro_ltl_translate_seconds{phase="tableau"}``).
 
-Overhead per phase/call: two ``perf_counter`` reads and one locked
-histogram record — fine for phases that do real work (milliseconds), by
-design never placed on per-event paths.
+Because they are spans, a phase that runs while a request is being
+served is charged to that request as a subphase, and shows up in the
+recorder's trace while recording is on.  Overhead per phase/call: two
+``perf_counter`` reads, a contextvar set/reset and one locked histogram
+record — fine for phases that do real work, by design never placed on
+per-event paths.
 """
 
 from __future__ import annotations
 
 import functools
-import threading
-import time
 
-from .context import current_context
 from .metrics import REGISTRY, MetricRegistry
-from .trace import NULL_TRACER
+from .trace import Span
 
 
 def metric_name(dotted: str, unit: str = "seconds") -> str:
@@ -46,7 +46,8 @@ def metric_name(dotted: str, unit: str = "seconds") -> str:
 
 
 def timed(name: str, *, registry: MetricRegistry | None = None):
-    """Decorate a callable so every call records its wall time."""
+    """Decorate a callable so every call is a span recording its wall
+    time."""
     histogram = (registry or REGISTRY).histogram(
         metric_name(name), f"wall time of {name} calls"
     )
@@ -54,11 +55,8 @@ def timed(name: str, *, registry: MetricRegistry | None = None):
     def decorate(fn):
         @functools.wraps(fn)
         def wrapper(*args, **kwargs):
-            started = time.perf_counter()
-            try:
+            with Span(name, histogram=histogram):
                 return fn(*args, **kwargs)
-            finally:
-                histogram.record(time.perf_counter() - started)
 
         wrapper.__timed_metric__ = histogram
         return wrapper
@@ -66,83 +64,25 @@ def timed(name: str, *, registry: MetricRegistry | None = None):
     return decorate
 
 
-class _Phase:
-    """The context manager one ``timer.phase(...)`` call returns."""
-
-    __slots__ = ("timer", "phase_name", "_span", "_started")
-
-    def __init__(self, timer: "PhaseTimer", phase_name: str):
-        self.timer = timer
-        self.phase_name = phase_name
-
-    def __enter__(self) -> "_Phase":
-        self._span = self.timer.tracer.span(
-            f"{self.timer.name}.{self.phase_name}"
-        ).__enter__()
-        self._started = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        elapsed = time.perf_counter() - self._started
-        self._span.__exit__(*exc)
-        self.timer._record(self.phase_name, elapsed)
-        return False
-
-
 class PhaseTimer:
-    """Per-phase wall-time attribution for one named algorithm.
+    """The phases of one named algorithm: ``phase(p)`` is a span named
+    ``<name>.<p>`` recording into ``<name>_seconds{phase=p}``."""
 
-    Histograms live in the shared registry under
-    ``<name>_seconds{phase=...}``; local totals survive for
-    :meth:`report` (handy in benchmarks, no registry scan needed).
-    """
-
-    def __init__(self, name: str, *, registry: MetricRegistry | None = None,
-                 tracer=None):
+    def __init__(self, name: str, *, registry: MetricRegistry | None = None):
         self.name = name
-        self.tracer = tracer if tracer is not None else NULL_TRACER
         self._family = (registry or REGISTRY).histogram(
             metric_name(name), f"per-phase wall time of {name}", ("phase",)
         )
-        self._children: dict[str, object] = {}
-        self._totals: dict[str, list] = {}
-        self._lock = threading.Lock()
+        self._phases: dict[str, tuple] = {}
 
-    def phase(self, phase_name: str) -> _Phase:
-        return _Phase(self, phase_name)
-
-    def _record(self, phase_name: str, elapsed: float) -> None:
-        child = self._children.get(phase_name)
-        if child is None:
-            child = self._children[phase_name] = self._family.labels(phase=phase_name)
-        child.record(elapsed)
-        ctx = current_context()
-        if ctx is not None:
-            # attribute the sample to the request being served, so a
-            # slow-log entry can say *which* kernel phases ate the time
-            ctx.note_subphase(f"{self.name}.{phase_name}", elapsed)
-        with self._lock:
-            entry = self._totals.get(phase_name)
-            if entry is None:
-                self._totals[phase_name] = [elapsed, 1]
-            else:
-                entry[0] += elapsed
-                entry[1] += 1
-
-    def report(self) -> dict[str, dict]:
-        """``{phase: {"seconds": total, "calls": n}}`` since creation/reset."""
-        with self._lock:
-            return {
-                phase: {"seconds": total, "calls": calls}
-                for phase, (total, calls) in sorted(self._totals.items())
-            }
-
-    def reset(self) -> None:
-        """Zero the *local* totals (registry histograms are monotonic)."""
-        with self._lock:
-            self._totals.clear()
+    def phase(self, phase_name: str) -> Span:
+        bound = self._phases.get(phase_name)
+        if bound is None:
+            bound = self._phases[phase_name] = (
+                f"{self.name}.{phase_name}",
+                self._family.labels(phase=phase_name),
+            )
+        return Span(bound[0], histogram=bound[1])
 
     def __repr__(self) -> str:
-        with self._lock:
-            phases = sorted(self._totals)
-        return f"PhaseTimer({self.name!r}, phases={phases})"
+        return f"PhaseTimer({self.name!r}, phases={sorted(self._phases)})"

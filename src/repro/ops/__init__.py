@@ -5,12 +5,13 @@ a running deployment gets asked: *what are you doing right now, which
 requests are slow and why, and are you healthy enough to route to?*
 Four pillars (DESIGN.md §11):
 
-* **Request contexts** — :class:`repro.obs.context.RequestContext`,
-  created per request by
-  :class:`~repro.service.server.AnalysisService`, carried across the
-  worker pool, and fed by every kernel
-  :class:`~repro.obs.profile.PhaseTimer`, so each request's wall time
-  decomposes into attributable phases (the slow-log's evidence).
+* **Request contexts** — :class:`repro.obs.trace.RequestContext`, the
+  root span :class:`~repro.service.server.AnalysisService` opens per
+  request.  The worker pool's context copy carries it across threads,
+  its child spans are the request's phases and every kernel
+  :class:`~repro.obs.profile.PhaseTimer` span below them is a subphase,
+  so each request's wall time decomposes into attributable phases (the
+  slow-log's evidence).
 * :mod:`repro.ops.journal` — the :class:`EventJournal`: a bounded,
   level-filtered ring of typed, request-correlated events
   (admitted/shed/timed-out, cache hit/miss/rejected/evicted, cert

@@ -24,8 +24,8 @@ the traffic.  Layering (each layer only knows the one below):
   (:class:`EngineStats`), a facade over the shared :mod:`repro.obs`
   metric registry (``repro_rv_*`` families with an ``engine`` label,
   including the PR-10 ``repro_rv_verdict_transitions_total`` and
-  ``repro_rv_verdict_latency_seconds``); pass ``RvEngine(tracer=...)``
-  for ingest/drain spans.
+  ``repro_rv_verdict_latency_seconds``); ingest and group-drain spans
+  join the exported trace while :data:`repro.obs.RECORDER` records.
 
 The three-valued :class:`~repro.ltl.monitoring.Verdict3` surface is
 unchanged and the engine stays bit-identical to feeding each session's

@@ -186,8 +186,8 @@ class MonitorTable:
         self.states = states
 
     @classmethod
-    def _product(cls, formula, alphabet, pos: SubsetTable, neg: SubsetTable
-                 ) -> "MonitorTable":
+    def _product(cls, formula, alphabet, pos: SubsetTable, neg: SubsetTable,
+                 **extra) -> "MonitorTable":
         symbols = pos.symbols
         symbol_index = pos.symbol_index
         start = (pos.initial, neg.initial)
@@ -215,7 +215,7 @@ class MonitorTable:
             next_state.append(row)
             i += 1
         return cls(formula, alphabet, symbols, symbol_index, 0,
-                   next_state, tuple(verdicts), tuple(states))
+                   next_state, tuple(verdicts), tuple(states), **extra)
 
     def __len__(self) -> int:
         return len(self.next_state)
@@ -253,7 +253,7 @@ class DecomposedMonitor(MonitorTable):
 
     __slots__ = ("tracker",)
 
-    def __init__(self, *args, tracker: BoundTracker | None = None):
+    def __init__(self, *args, tracker: BoundTracker):
         super().__init__(*args)
         self.tracker = tracker
 
@@ -266,10 +266,11 @@ class DecomposedMonitor(MonitorTable):
             negative = decompose(Not(formula), alphabet=alphabet)
         pos = SubsetTable.from_automaton(positive.safety, phases=_PHASES)
         neg = SubsetTable.from_automaton(negative.safety, phases=_PHASES)
-        with _PHASES.phase("product"):
-            monitor = cls._product(formula, alphabet, pos, neg)
         with _PHASES.phase("bound_tracker"):
-            monitor.tracker = BoundTracker.from_automaton(positive.liveness)
+            tracker = BoundTracker.from_automaton(positive.liveness)
+        with _PHASES.phase("product"):
+            monitor = cls._product(formula, alphabet, pos, neg,
+                                   tracker=tracker)
         _TABLES_COMPILED.add()
         _TABLE_STATES.record(len(monitor))
         return monitor

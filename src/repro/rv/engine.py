@@ -28,17 +28,19 @@ from __future__ import annotations
 
 import time
 from collections.abc import Iterable
-from functools import partial
+from contextlib import nullcontext
 
 from repro.ltl.monitoring import Verdict3
 from repro.ltl.syntax import Formula
-from repro.obs.trace import NULL_SPAN, NULL_TRACER
+from repro.obs.trace import RECORDER, Span
 from repro.ops.journal import DEBUG, JOURNAL, WARN, EventJournal
 
 from .compile import CompileCache, MonitorTable
 from .pool import WorkerPool
 from .session import SessionManager, TraceSession
 from .stats import EngineStats
+
+_NO_SPAN = nullcontext()
 
 
 class RvEngine:
@@ -53,12 +55,13 @@ class RvEngine:
     the chatty satisfied/inconclusive flips at DEBUG, matching the
     journal's access-log level convention.
 
-    Tracing is opt-in: pass an :class:`~repro.obs.trace.Tracer` to get
-    an ``rv.ingest`` span per batch with ``rv.drain_group`` children —
-    parent links survive the worker pool because the ingest span is
-    handed to each group drain explicitly.  The default is the null
-    tracer (one attribute check per ingest), keeping spans off the
-    per-event hot path entirely; metrics are always on.
+    While :data:`~repro.obs.trace.RECORDER` records, each batch is an
+    ``rv.ingest`` :class:`~repro.obs.trace.Span` with one
+    ``rv.drain_group`` child per group — parent links survive the worker
+    pool because its context copy carries the ingest span to the pool
+    thread.  These spans carry no histogram and no request, so they
+    exist only for the recorded trace and are not opened otherwise;
+    metrics are always on.
     """
 
     def __init__(
@@ -69,14 +72,12 @@ class RvEngine:
         horizon: int | None = None,
         cache: CompileCache | None = None,
         stats: EngineStats | None = None,
-        tracer=None,
         journal: EventJournal | None = JOURNAL,
     ):
         self.cache = cache if cache is not None else CompileCache()
         self.sessions = SessionManager(max_pending=max_pending)
         self.horizon = horizon
         self.stats = stats if stats is not None else EngineStats()
-        self.tracer = tracer if tracer is not None else NULL_TRACER
         self.journal = journal
         self.pool = WorkerPool(workers, thread_name_prefix="rv-worker",
                                journal=journal)
@@ -123,13 +124,12 @@ class RvEngine:
         admitted to any queue, so a rejected batch leaves every session
         exactly as it was.
         """
-        tracer = self.tracer
-        if tracer.enabled:
-            with tracer.span("rv.ingest") as span:
-                return self._ingest(events, span)
-        return self._ingest(events, NULL_SPAN)
+        if not RECORDER.recording:
+            return self._ingest(events, None)
+        with Span("rv.ingest") as span:
+            return self._ingest(events, span)
 
-    def _ingest(self, events: Iterable[tuple], span) -> dict:
+    def _ingest(self, events: Iterable[tuple], span: Span | None) -> dict:
         routed: dict[int, tuple[TraceSession, list]] = {}
         get = self.sessions.get
         for session_id, event in events:
@@ -146,66 +146,56 @@ class RvEngine:
             session.validate_batch(batch)
         for session, batch in routed.values():
             session.enqueue_many(batch)
-        touched = {key: session for key, (session, _) in routed.items()}
-        groups = list(self.sessions.by_monitor(touched.values()).values())
-        recording = span.recording
-        if recording:
-            span.set(
-                events=sum(len(batch) for _, batch in routed.values()),
-                sessions=len(touched),
-                groups=len(groups),
-            )
-        drain = (
-            partial(self._drain_group_traced, parent=span)
-            if recording
-            else self._drain_group
-        )
-        self.pool.map(drain, groups)
+        touched = [session for session, _ in routed.values()]
+        groups = list(self.sessions.by_monitor(touched).values())
+        self.pool.map(self._drain_group, groups)
+        if span is not None:
+            span.set(events=sum(len(batch) for _, batch in routed.values()),
+                     sessions=len(touched), groups=len(groups))
         self.stats.batches.add()
-        return {s.session_id: s.verdict for s in touched.values()}
+        return {s.session_id: s.verdict for s in touched}
 
-    def _drain_group_traced(self, group: list[TraceSession], parent) -> None:
-        # explicit parent: this may run on a pool thread, where the
-        # tracer's thread-local stack knows nothing of the ingest span.
-        with self.tracer.span("rv.drain_group", parent=parent) as span:
-            drained, stepped = self._drain_group(group)
-            span.set(sessions=len(group), events=drained, steps=stepped)
-
-    def _drain_group(self, group: list[TraceSession]) -> tuple[int, int]:
-        stats = self.stats
-        journal = self.journal
-        record_drain = stats.record_drain
-        perf_counter = time.perf_counter
-        monotonic = time.monotonic
-        drained = stepped = 0
-        for session in group:
-            pending = session.pending
-            was_final = session.finalized
-            before = session.verdict4
-            start = perf_counter()
-            steps = session.drain()
-            record_drain(pending, steps, perf_counter() - start)
-            drained += pending
-            stepped += steps
-            if session.finalized and not was_final:
-                stats.record_verdict(session.verdict)
-            after = session.verdict4
-            if after is not before:
-                # verdict transitions are per drain, not per event: the
-                # worker loop stays table-only and the ops plane still
-                # sees every state the *caller* could have observed.
-                stats.record_transition(
-                    before, after, monotonic() - session.opened_at
-                )
-                if journal is not None:
-                    journal.emit(
-                        "rv.verdict_transition",
-                        WARN if after.is_final else DEBUG,
-                        session=repr(session.session_id),
-                        **{"from": before.value, "to": after.value,
-                           "events": session.position, "wait": session.wait},
+    def _drain_group(self, group: list[TraceSession]) -> None:
+        """Drain one monitor group — on a pool thread when parallel, in
+        the ingest span's context either way."""
+        with (Span("rv.drain_group") if RECORDER.recording
+              else _NO_SPAN) as span:
+            stats = self.stats
+            journal = self.journal
+            record_drain = stats.record_drain
+            perf_counter = time.perf_counter
+            monotonic = time.monotonic
+            drained = stepped = 0
+            for session in group:
+                pending = session.pending
+                was_final = session.finalized
+                before = session.verdict4
+                start = perf_counter()
+                steps = session.drain()
+                record_drain(pending, steps, perf_counter() - start)
+                drained += pending
+                stepped += steps
+                if session.finalized and not was_final:
+                    stats.record_verdict(session.verdict)
+                after = session.verdict4
+                if after is not before:
+                    # verdict transitions are per drain, not per event: the
+                    # worker loop stays table-only and the ops plane still
+                    # sees every state the *caller* could have observed.
+                    stats.record_transition(
+                        before, after, monotonic() - session.opened_at
                     )
-        return drained, stepped
+                    if journal is not None:
+                        journal.emit(
+                            "rv.verdict_transition",
+                            WARN if after.is_final else DEBUG,
+                            session=repr(session.session_id),
+                            **{"from": before.value, "to": after.value,
+                               "events": session.position,
+                               "wait": session.wait},
+                        )
+            if span is not None:
+                span.set(sessions=len(group), events=drained, steps=stepped)
 
     # -- queries ------------------------------------------------------------
 

@@ -15,10 +15,11 @@ Two ops-plane duties ride on the pool:
 
 * **Context propagation** — ``contextvars`` don't cross threads on
   their own, so :meth:`submit` and :meth:`map` capture the submitting
-  thread's context (including the active
-  :class:`~repro.obs.context.RequestContext`) and reactivate it on the
-  worker.  A kernel phase timer firing three threads deep still
-  attributes to the request that caused it.
+  thread's context (including the current
+  :class:`~repro.obs.trace.Span`) and reactivate it on the worker.  A
+  span opened on the worker is a child of the submitter's span, so a
+  kernel phase firing three threads deep still attributes to the
+  request that caused it.
 * **Lifecycle events** — worker starts, worker deaths (at shutdown) and
   escaped task exceptions are journaled, so "did the pool lose a
   thread?" is a query, not a guess.

@@ -17,9 +17,7 @@ Since PR 10 a session carries *two* verdicts side by side:
   conjunct's bound tracker: the session counts events since its last
   *good edge*, and under a finitary ``horizon`` an exceeded wait
   latches ``LIVENESS_BOUND_EXCEEDED`` forever (Chatterjee–Fijalkow:
-  the bound is a safety property of the prefix).  Sessions over legacy
-  tracker-less :class:`~repro.rv.compile.MonitorTable` objects degrade
-  gracefully — ``verdict4`` is then just the three-valued projection.
+  the bound is a safety property of the prefix).
 
 Backpressure is per session: events are *enqueued* (cheap, validated)
 and *drained* (the tight table loop) separately, and a session whose
@@ -40,7 +38,7 @@ from collections.abc import Iterable, Iterator
 
 from repro.ltl.monitoring import Verdict3
 
-from .compile import MonitorTable
+from .compile import DecomposedMonitor
 from .verdicts import MonitorOutcome, Verdict4
 
 
@@ -66,7 +64,7 @@ class TraceSession:
                  "opened_at", "_state", "_verdict", "_events", "_pending",
                  "_tstate", "_wait", "_max_wait", "_latched")
 
-    def __init__(self, session_id, monitor: MonitorTable,
+    def __init__(self, session_id, monitor: DecomposedMonitor,
                  max_pending: int = 1024, horizon: int | None = None):
         if horizon is not None and horizon < 0:
             raise ValueError("horizon must be >= 0 (or None for unbounded)")
@@ -74,9 +72,7 @@ class TraceSession:
         self.monitor = monitor
         self.max_pending = max_pending
         self.horizon = horizon
-        # legacy MonitorTable compatibility: no tracker → three-valued
-        # degradation (verdict4 is the projection of verdict3).
-        self.tracker = getattr(monitor, "tracker", None)
+        self.tracker = monitor.tracker
         self.opened_at = time.monotonic()
         self.reset()
 
@@ -85,7 +81,7 @@ class TraceSession:
         self._verdict = self.monitor.verdicts[self._state]
         self._events = 0
         self._pending: deque = deque()
-        self._tstate = self.tracker.initial if self.tracker is not None else 0
+        self._tstate = self.tracker.initial
         # wait = events since the last good edge (w(ε) = 0).
         self._wait = 0
         self._max_wait = 0
@@ -99,15 +95,12 @@ class TraceSession:
     def verdict4(self) -> Verdict4:
         """The four-valued verdict, resolved in severity order: a
         falsified safety conjunct dominates, then the liveness latch,
-        then "nothing outstanding" (definitively satisfied, or wait 0
-        with a tracker present)."""
+        then "nothing outstanding" (definitively satisfied, or wait 0)."""
         if self._verdict is Verdict3.FALSE:
             return Verdict4.FALSIFIED_SAFETY
         if self._latched:
             return Verdict4.LIVENESS_BOUND_EXCEEDED
-        if self._verdict is Verdict3.TRUE or (
-            self._wait == 0 and self.tracker is not None
-        ):
+        if self._verdict is Verdict3.TRUE or self._wait == 0:
             return Verdict4.SATISFIED_SO_FAR
         return Verdict4.INCONCLUSIVE
 
@@ -164,7 +157,7 @@ class TraceSession:
         self._state = monitor.next_state[self._state][index]
         self._verdict = monitor.verdicts[self._state]
         tracker = self.tracker
-        if tracker is not None and not self._latched:
+        if not self._latched:
             # good flag is read on the edge *out of* the current tracker
             # state, before stepping it (see BoundTracker).
             if tracker.good[self._tstate][index]:
@@ -223,10 +216,8 @@ class TraceSession:
     def drain(self) -> int:
         """Process every pending event; returns table steps performed.
 
-        Tracker-less monitors keep the PR-1 loop body of two list
-        indexings per event; decomposed monitors fuse the bound-tracker
-        step into the same loop (one extra indexing plus the wait
-        bookkeeping).  After truncation (definite three-valued verdict)
+        The bound-tracker step is fused into the table loop (one extra
+        indexing plus the wait bookkeeping per event).  After truncation (definite three-valued verdict)
         the remaining events are counted and dropped without touching
         either table.
         """
@@ -240,39 +231,29 @@ class TraceSession:
         if verdict is Verdict3.UNKNOWN:
             verdicts = monitor.verdicts
             tracker = self.tracker
-            if tracker is None:
-                # legacy tight loop (PR-1 tables: no liveness conjunct).
-                while queue:
-                    state = table[state][symbol_index[queue.popleft()]]
-                    self._events += 1
-                    steps += 1
-                    verdict = verdicts[state]
-                    if verdict is not Verdict3.UNKNOWN:
-                        break
-            else:
-                ttable, tgood = tracker.next_state, tracker.good
-                tstate, wait, max_wait = self._tstate, self._wait, self._max_wait
-                latched, horizon = self._latched, self.horizon
-                while queue:
-                    i = symbol_index[queue.popleft()]
-                    state = table[state][i]
-                    self._events += 1
-                    steps += 1
-                    verdict = verdicts[state]
-                    if not latched:
-                        if tgood[tstate][i]:
-                            wait = 0
-                        else:
-                            wait += 1
-                            if wait > max_wait:
-                                max_wait = wait
-                            if horizon is not None and wait > horizon:
-                                latched = True
-                        tstate = ttable[tstate][i]
-                    if verdict is not Verdict3.UNKNOWN:
-                        break
-                self._tstate, self._wait, self._max_wait = tstate, wait, max_wait
-                self._latched = latched
+            ttable, tgood = tracker.next_state, tracker.good
+            tstate, wait, max_wait = self._tstate, self._wait, self._max_wait
+            latched, horizon = self._latched, self.horizon
+            while queue:
+                i = symbol_index[queue.popleft()]
+                state = table[state][i]
+                self._events += 1
+                steps += 1
+                verdict = verdicts[state]
+                if not latched:
+                    if tgood[tstate][i]:
+                        wait = 0
+                    else:
+                        wait += 1
+                        if wait > max_wait:
+                            max_wait = wait
+                        if horizon is not None and wait > horizon:
+                            latched = True
+                    tstate = ttable[tstate][i]
+                if verdict is not Verdict3.UNKNOWN:
+                    break
+            self._tstate, self._wait, self._max_wait = tstate, wait, max_wait
+            self._latched = latched
         # truncated: the verdict is final, skip the tables entirely.
         self._events += len(queue)
         queue.clear()
@@ -287,7 +268,7 @@ class SessionManager:
         self.max_pending = max_pending
         self._sessions: dict = {}
 
-    def open(self, session_id, monitor: MonitorTable,
+    def open(self, session_id, monitor: DecomposedMonitor,
              max_pending: int | None = None,
              horizon: int | None = None) -> TraceSession:
         if session_id in self._sessions:

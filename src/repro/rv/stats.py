@@ -17,7 +17,6 @@ thin facade that registers every engine measurement in the process-wide
 * step latencies are log-bucketed (HDR-style) rather than a 4096-sample
   sliding reservoir, so percentiles cover the whole run within ~12%
   relative bucket width instead of exactly-but-only the recent window.
-  ``latency_window`` is accepted for API compatibility and ignored.
 
 The overhead budget is unchanged: one lock acquire and one add per
 recorded value, all charged per *drain*, never per event.
@@ -63,9 +62,6 @@ class EngineStats:
 
     Parameters
     ----------
-    latency_window:
-        Ignored (PR 1 reservoir compatibility; histograms are now
-        log-bucketed and unbounded-window).
     registry:
         The :class:`~repro.obs.metrics.MetricRegistry` to report into;
         defaults to the process-wide one.
@@ -74,8 +70,7 @@ class EngineStats:
         which is what keeps per-instance counts independent.
     """
 
-    def __init__(self, latency_window: int = 4096,
-                 registry: MetricRegistry | None = None,
+    def __init__(self, *, registry: MetricRegistry | None = None,
                  engine: str | None = None):
         registry = REGISTRY if registry is None else registry
         self.registry = registry

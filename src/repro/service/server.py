@@ -23,20 +23,23 @@ Graceful degradation, in order of preference:
 * **uncacheable** — subjects the canonicalizer gives up on are computed
   uncached rather than risking a collision.
 
-Observability is two-plane.  Metrics and spans (:mod:`repro.obs`) as
-before: request/outcome counters, cache hit/miss counters, an in-flight
-gauge, per-kind latency histograms, ``service.enqueue →
-service.compute → service.reply`` spans.  New in the ops plane
-(:mod:`repro.ops`): every admitted request gets a
-:class:`~repro.obs.context.RequestContext` — a trace id, deadline and
-origin carried through the worker pool into handler compute, so kernel
-:class:`~repro.obs.profile.PhaseTimer` samples attribute to *this
-request* — the live in-flight table (:meth:`AnalysisService.inflight`)
-shows each request's phase breakdown mid-flight, requests slower than
-``slow_threshold`` land in a retained slow-log with their full phase
-accounting, and every lifecycle edge (admitted / shed / timed out /
-done, cache outcome, certificate verdict) is journaled with the
-request id as correlation key.
+Observability is two-plane.  Metrics (:mod:`repro.obs`): request and
+outcome counters, cache hit/miss counters, an in-flight gauge, per-kind
+latency histograms.  Spans: every admitted request is a
+:class:`~repro.obs.trace.RequestContext` — the root span, carrying a
+trace id, deadline and origin — whose phases (``compute``, ``queue``,
+``verify``) are its child spans.  The request is current while it is
+dispatched, so the worker pool's context copy carries it into handler
+compute and every kernel :class:`~repro.obs.profile.PhaseTimer` span
+below it is charged to *this request* as a subphase.  The ops plane
+(:mod:`repro.ops`) reads those records: the live in-flight table
+(:meth:`AnalysisService.inflight`) shows each request's phase breakdown
+mid-flight, requests slower than ``slow_threshold`` land in a retained
+slow-log with their full phase accounting, and every lifecycle edge
+(admitted / shed / timed out / done, cache outcome, certificate
+verdict) is journaled with the request id as correlation key.  While
+:data:`~repro.obs.trace.RECORDER` records, the same spans form the
+request's tree in the exported trace.
 """
 
 from __future__ import annotations
@@ -45,11 +48,11 @@ import threading
 import time
 from collections import deque
 from concurrent.futures import Future
+from contextlib import nullcontext
 from concurrent.futures import TimeoutError as _FutureTimeout
 
-from repro.obs.context import RequestContext, use_context
 from repro.obs.metrics import REGISTRY
-from repro.obs.trace import NULL_SPAN, NULL_TRACER
+from repro.obs.trace import RequestContext, Span
 
 from repro.ops.journal import DEBUG, INFO, JOURNAL, WARN, EventJournal
 from repro.rv.pool import WorkerPool, resolved
@@ -102,28 +105,27 @@ _SLOW = REGISTRY.counter(
 #: Retained slow-log entries (oldest evicted first).
 SLOW_LOG_SIZE = 128
 
+#: Stands in for a phase span when the request has no context.
+_NO_SPAN = nullcontext()
+
 
 class PendingReply:
     """One submitted request's reply slot (a future with deadline
-    semantics and a ``service.reply`` span on retrieval).
+    semantics).
 
     ``context`` is the request's :class:`RequestContext` (``None`` when
     the service runs with ``track_inflight=False``) — poll
     ``reply.context.phases()`` mid-flight for the same breakdown
     ``/debug/inflight`` serves."""
 
-    __slots__ = ("request", "deadline", "context", "_tracer",
-                 "_enqueue_span", "_compute_span", "_future", "_journal")
+    __slots__ = ("request", "deadline", "context", "_future", "_journal")
 
-    def __init__(self, request: Request, deadline: float | None, tracer,
-                 enqueue_span, context: RequestContext | None = None,
+    def __init__(self, request: Request, deadline: float | None,
+                 context: RequestContext | None = None,
                  journal: EventJournal | None = None):
         self.request = request
         self.deadline = deadline
         self.context = context
-        self._tracer = tracer
-        self._enqueue_span = enqueue_span
-        self._compute_span = NULL_SPAN
         self._future: Future | None = None
         self._journal = journal
 
@@ -168,24 +170,13 @@ class PendingReply:
                 f"{self.request.kind} request deadline expired"
             )
         try:
-            result = self._future.result(remaining)
+            return self._future.result(remaining)
         except _FutureTimeout:
             self._note_timeout("no reply within wait budget")
             raise ServiceTimeout(
                 f"no {self.request.kind} reply within "
                 f"{remaining:.3f}s"
             ) from None
-        parent = (
-            self._compute_span
-            if self._compute_span.recording
-            else self._enqueue_span
-        )
-        if self._tracer.enabled and parent.recording:
-            with self._tracer.span(
-                "service.reply", parent=parent, kind=self.request.kind
-            ) as span:
-                span.set(cached=result.cached)
-        return result
 
 
 class AnalysisService:
@@ -203,8 +194,6 @@ class AnalysisService:
         concurrent submit raises :class:`ServiceOverloaded`.
     cache:
         The shared :class:`ResultCache` (own instance by default).
-    tracer:
-        Optional :class:`repro.obs.trace.Tracer`; default off.
     default_timeout:
         Deadline in seconds applied to requests submitted without an
         explicit ``timeout=``; ``None`` means wait forever.
@@ -226,10 +215,12 @@ class AnalysisService:
         disables the slow-log.
     track_inflight:
         When true (default), every admitted request carries a
-        :class:`RequestContext` — the id/deadline/phase record behind
-        :meth:`inflight`, the slow-log and kernel-phase attribution.
-        ``False`` turns the whole context plane off (the
-        ``BENCH_obs_overhead.json`` baseline configuration).
+        :class:`RequestContext` — the root span and id/deadline/phase
+        record behind :meth:`inflight`, the slow-log and kernel-phase
+        attribution.
+        ``False`` turns the whole context plane off, phase spans
+        included (the ``BENCH_obs_overhead.json`` baseline
+        configuration).
     """
 
     def __init__(
@@ -238,7 +229,6 @@ class AnalysisService:
         workers: int = 4,
         max_pending: int = 64,
         cache: ResultCache | None = None,
-        tracer=None,
         default_timeout: float | None = None,
         verify_on_hit: bool = False,
         journal: EventJournal | None = JOURNAL,
@@ -254,7 +244,6 @@ class AnalysisService:
         )
         self.max_pending = max_pending
         self.cache = cache if cache is not None else ResultCache(journal=journal)
-        self.tracer = tracer if tracer is not None else NULL_TRACER
         self.default_timeout = default_timeout
         self.verify_on_hit = verify_on_hit
         self.journal = journal
@@ -263,15 +252,19 @@ class AnalysisService:
         self._lock = threading.Lock()
         self._pending = 0
         self._closed = False
-        self._inflight: dict[str, RequestContext] = {}
+        self._inflight: set[RequestContext] = set()
         self._slow: deque[dict] = deque(maxlen=SLOW_LOG_SIZE)
 
     # -- journal plumbing ----------------------------------------------------
 
     def _emit(self, name: str, level: int = INFO,
-              request_id: str | None = None, **fields) -> None:
+              context: RequestContext | None = None, **fields) -> None:
         if self.journal is not None:
-            self.journal.emit(name, level, request_id=request_id, **fields)
+            self.journal.emit(
+                name, level,
+                request_id=None if context is None else context.request_id,
+                **fields,
+            )
 
     # -- the request path ---------------------------------------------------
 
@@ -309,7 +302,7 @@ class AnalysisService:
             # rare reject) so registration shares the lock acquisition
             context = RequestContext(
                 kind=request.kind, origin=origin, deadline=deadline,
-                request_id=request_id,
+                request_id=request_id, start=submitted_at,
             )
         rejected_cause = None
         with self._lock:
@@ -322,7 +315,9 @@ class AnalysisService:
                 self._pending += 1
                 depth = self._pending
                 if context is not None:
-                    self._inflight[context.request_id] = context
+                    self._inflight.add(context)
+        if rejected_cause is not None and context is not None:
+            context.close()
         if rejected_cause == "closed":
             _REJECTED.labels(kind=request.kind, cause="closed").add()
             self._emit("service.request_shed", WARN,
@@ -344,14 +339,7 @@ class AnalysisService:
             journal.emit("service.request_admitted", DEBUG,
                          request_id=context.request_id,
                          kind=request.kind, origin=origin, pending=depth)
-        enqueue_span = NULL_SPAN
-        if self.tracer.enabled:
-            with self.tracer.span(
-                "service.enqueue", kind=request.kind
-            ) as enqueue_span:
-                enqueue_span.set(pending=depth)
-        reply = PendingReply(request, deadline, self.tracer, enqueue_span,
-                             context, self.journal)
+        reply = PendingReply(request, deadline, context, journal)
         key_error = None
         try:
             key = handlers.cache_key(request)
@@ -366,10 +354,6 @@ class AnalysisService:
                                      key, value, None, key_error)
             return reply
         handed_off = time.perf_counter()
-        if context is not None:
-            # the key and the lookup open the compute phase; the queue
-            # phase starts here
-            context.note_phase("compute", handed_off - submitted_at)
         try:
             reply._future = self.pool.submit(
                 self._process, reply, submitted_at, key, value, handed_off
@@ -383,11 +367,12 @@ class AnalysisService:
             with self._lock:
                 self._pending -= 1
                 if context is not None:
-                    self._inflight.pop(context.request_id, None)
+                    self._inflight.discard(context)
             _QUEUE_DEPTH.sub(1)
+            if context is not None:
+                context.close()
             _REJECTED.labels(kind=request.kind, cause="closed").add()
-            self._emit("service.request_shed", WARN,
-                       request_id=context.request_id if context else None,
+            self._emit("service.request_shed", WARN, context,
                        kind=request.kind, cause="closed")
             raise ServiceClosed(
                 "service shut down while the request was being admitted"
@@ -411,122 +396,119 @@ class AnalysisService:
         key_error: Exception | None = None,
     ) -> ServiceResult:
         """Build one request's :class:`ServiceResult` — the only place
-        one is built, for every request.
+        one is built, for every request — with the request current, so
+        its phases and every kernel span below them are charged to it.
 
         A cache hit runs here on the submitting thread (``handed_off`` is
         ``None``; ``value`` is the cached value); a miss or a replay runs
         on a pool worker (``value`` is :data:`~repro.service.cache.MISS`
         or the certificate-bearing hit).  ``key_error`` is what building
         the key raised, re-raised here as the request's compute error."""
+        context = reply.context
+        if context is None:
+            return self._serve(reply, submitted_at, key, value, handed_off,
+                               key_error)
+        # leaving the block closes the request's root span
+        with context:
+            return self._serve(reply, submitted_at, key, value, handed_off,
+                               key_error)
+
+    def _serve(self, reply: PendingReply, submitted_at: float,
+               key: str | None, value, handed_off: float | None,
+               key_error: Exception | None) -> ServiceResult:
         request = reply.request
         kind = request.kind
         deadline = reply.deadline
         context = reply.context
-        request_id = context.request_id if context is not None else None
-        span = NULL_SPAN
-        if self.tracer.enabled:
-            span = self.tracer.span(
-                "service.compute", parent=reply._enqueue_span, kind=kind
-            )
         picked_up = time.perf_counter()
         # The wall-time partition: on the submitting thread ``compute``
         # runs from submit; a handed-off request adds ``queue`` (handoff →
         # worker pickup) and a second ``compute`` stretch from pickup.
+        # Phase spans open only with a request to charge them to.
         compute_started = submitted_at
         if handed_off is not None:
             compute_started = picked_up
             if context is not None:
-                context.note_phase("queue", picked_up - handed_off)
+                # the submit-side stretch (key, lookup) opened the
+                # compute phase; both are recorded here, at pickup
+                Span("compute", start=submitted_at).close(handed_off)
+                Span("queue", start=handed_off).close(picked_up)
         try:
-            with span, use_context(context):
-                reply._compute_span = span
-                if deadline is not None and picked_up >= deadline:
-                    # Shed expired work instead of computing a reply
-                    # nobody is waiting for.
-                    _TIMEOUTS.labels(kind=kind).add()
-                    _REQUESTS.labels(kind=kind, outcome="timeout").add()
-                    span.set(outcome="expired")
-                    self._emit("service.request_timeout", WARN,
-                               request_id=request_id, kind=kind,
-                               where="submit" if handed_off is None
-                               else "worker",
-                               detail="deadline expired before compute")
-                    raise ServiceTimeout(
-                        f"{kind} request deadline expired before compute"
-                    )
-                try:
-                    if key_error is not None:
-                        raise key_error
-                    try:
-                        hit = value is not MISS
-                        if not hit:
-                            value, hit = self.cache.get_or_compute(
-                                key, lambda: handlers.compute(request)
-                            )
-                    finally:
-                        if context is not None:
-                            context.note_phase(
-                                "compute",
-                                time.perf_counter() - compute_started,
-                            )
-                    event = "hit" if hit else ("miss" if key else "uncacheable")
-                    if hit and self._needs_replay(value):
-                        verify_started = time.perf_counter()
-                        try:
-                            value, hit, event = self._replay_hit(
-                                request, key, value, request_id
-                            )
-                        finally:
-                            if context is not None:
-                                # the certificate replay is its own phase
-                                context.note_phase(
-                                    "verify",
-                                    time.perf_counter() - verify_started,
-                                )
-                except ServiceError:
-                    raise
-                except BaseException as exc:
-                    _REQUESTS.labels(kind=kind, outcome="error").add()
-                    span.set(outcome="error")
-                    self._emit("service.request_done", WARN,
-                               request_id=request_id, kind=kind,
-                               outcome="error", error=type(exc).__name__)
-                    raise
-                elapsed = time.perf_counter() - submitted_at
-                _CACHE_EVENTS.labels(kind=kind, event=event).add()
-                journal = self.journal
-                if journal is not None:
-                    # routine cache outcomes are chatter (debug); a
-                    # rejected certificate is an anomaly (warn)
-                    if event == "rejected":
-                        journal.emit("cache.rejected", WARN,
-                                     request_id=request_id, kind=kind, key=key)
-                    elif journal.min_level <= DEBUG:
-                        journal.emit("cache." + event, DEBUG,
-                                     request_id=request_id, kind=kind, key=key)
-                _LATENCY.labels(kind=kind).record(elapsed)
-                _REQUESTS.labels(kind=kind, outcome="ok").add()
-                span.set(outcome="ok", cache=event)
-                # a healthy completion is chatter too (errors above are
-                # warn) — the production posture journals anomalies only
-                if journal is not None and journal.min_level <= DEBUG:
-                    journal.emit("service.request_done", DEBUG,
-                                 request_id=request_id, kind=kind,
-                                 outcome="ok", cache=event, elapsed=elapsed)
-                if self.slow_threshold is not None:
-                    self._note_if_slow(context, kind, elapsed)
-                return ServiceResult(
-                    request=request,
-                    value=value,
-                    cached=hit,
-                    key=key,
-                    elapsed_seconds=elapsed,
+            if deadline is not None and picked_up >= deadline:
+                # Shed expired work instead of computing a reply nobody
+                # is waiting for.
+                _TIMEOUTS.labels(kind=kind).add()
+                _REQUESTS.labels(kind=kind, outcome="timeout").add()
+                self._emit("service.request_timeout", WARN, context,
+                           kind=kind,
+                           where="submit" if handed_off is None else "worker",
+                           detail="deadline expired before compute")
+                raise ServiceTimeout(
+                    f"{kind} request deadline expired before compute"
                 )
+            try:
+                hit = value is not MISS
+                if hit:
+                    # nothing runs inside a hit's compute phase, so the
+                    # span need not become current
+                    if context is not None:
+                        Span("compute", start=compute_started).close()
+                else:
+                    with (_NO_SPAN if context is None else
+                          Span("compute", start=compute_started)):
+                        if key_error is not None:
+                            raise key_error
+                        value, hit = self.cache.get_or_compute(
+                            key, lambda: handlers.compute(request)
+                        )
+                event = "hit" if hit else ("miss" if key else "uncacheable")
+                if hit and self._needs_replay(value):
+                    # the certificate replay is its own phase
+                    with _NO_SPAN if context is None else Span("verify"):
+                        value, hit, event = self._replay_hit(
+                            request, key, value, context
+                        )
+            except ServiceError:
+                raise
+            except BaseException as exc:
+                _REQUESTS.labels(kind=kind, outcome="error").add()
+                self._emit("service.request_done", WARN, context,
+                           kind=kind, outcome="error",
+                           error=type(exc).__name__)
+                raise
+            elapsed = time.perf_counter() - submitted_at
+            _CACHE_EVENTS.labels(kind=kind, event=event).add()
+            # routine cache outcomes and healthy completions are chatter
+            # (debug); a rejected certificate is an anomaly (warn) — the
+            # production posture journals anomalies only, and reads no
+            # request id
+            journal = self.journal
+            chatty = journal is not None and journal.min_level <= DEBUG
+            if chatty or (journal is not None and event == "rejected"):
+                request_id = None if context is None else context.request_id
+                journal.emit("cache." + event,
+                             WARN if event == "rejected" else DEBUG,
+                             request_id=request_id, kind=kind, key=key)
+            _LATENCY.labels(kind=kind).record(elapsed)
+            _REQUESTS.labels(kind=kind, outcome="ok").add()
+            if chatty:
+                journal.emit("service.request_done", DEBUG,
+                             request_id=request_id, kind=kind,
+                             outcome="ok", cache=event, elapsed=elapsed)
+            if self.slow_threshold is not None:
+                self._note_if_slow(context, kind, elapsed)
+            return ServiceResult(
+                request=request,
+                value=value,
+                cached=hit,
+                key=key,
+                elapsed_seconds=elapsed,
+            )
         finally:
             with self._lock:
                 self._pending -= 1
                 if context is not None:
-                    self._inflight.pop(context.request_id, None)
+                    self._inflight.discard(context)
             _QUEUE_DEPTH.sub(1)
 
     def _note_if_slow(self, context: RequestContext | None, kind: str,
@@ -546,8 +528,7 @@ class AnalysisService:
         with self._lock:
             self._slow.append(entry)
         self._emit(
-            "service.slow_request", WARN,
-            request_id=context.request_id if context else None,
+            "service.slow_request", WARN, context,
             kind=kind, elapsed=round(elapsed, 6),
             threshold=self.slow_threshold,
             phases={k: round(v, 6)
@@ -555,7 +536,7 @@ class AnalysisService:
         )
 
     def _replay_hit(self, request: Request, key: str | None, value,
-                    request_id: str | None = None):
+                    context: RequestContext | None = None):
         """Re-verify a certificate-bearing cache hit before serving it.
 
         A certificate the independent verifier rejects means the cache
@@ -564,9 +545,9 @@ class AnalysisService:
         from repro.certs import verify_certificate
 
         if verify_certificate(value.certificate).ok:
-            self._emit("cert.verify_pass", request_id=request_id, key=key)
+            self._emit("cert.verify_pass", INFO, context, key=key)
             return value, True, "hit"
-        self._emit("cert.verify_fail", WARN, request_id=request_id, key=key)
+        self._emit("cert.verify_fail", WARN, context, key=key)
         self.cache.invalidate(key, rejected=True)
         # _process journals the summary "cache.rejected" outcome event
         value = handlers.compute(request)
@@ -614,7 +595,7 @@ class AnalysisService:
         deadline remaining, and the phase breakdown recorded so far —
         oldest first."""
         with self._lock:
-            contexts = list(self._inflight.values())
+            contexts = list(self._inflight)
         rows = [context.to_dict() for context in contexts]
         rows.sort(key=lambda row: row["age_seconds"], reverse=True)
         return rows

@@ -45,8 +45,8 @@ from concurrent.futures import TimeoutError as _FutureTimeout
 from concurrent.futures import wait as wait_futures
 from pathlib import Path
 
-from repro.obs.context import RequestContext
 from repro.obs.metrics import REGISTRY
+from repro.obs.trace import mint_request_id
 from repro.ops.journal import INFO, JOURNAL, WARN, EventJournal
 
 from repro.service.cache import ResultCacheStats
@@ -103,9 +103,7 @@ class _Flight:
                  "shard", "grace_end")
 
     def __init__(self, request, deadline, origin, preference):
-        self.request_id = RequestContext(
-            kind=request.kind, origin=origin, deadline=deadline
-        ).request_id
+        self.request_id = mint_request_id()
         self.request = request
         self.wire = encode_request(request)
         self.future: Future = Future()

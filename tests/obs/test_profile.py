@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.obs.metrics import MetricRegistry
+from repro.obs.metrics import REGISTRY, MetricRegistry
 from repro.obs.profile import PhaseTimer, metric_name, timed
-from repro.obs.trace import Tracer
+from repro.obs.trace import Span
 
 
 class TestMetricName:
@@ -65,21 +65,13 @@ class TestTimed:
         assert boom.__timed_metric__.count == 1
 
 
-class TestPhaseTimer:
-    def test_report_accumulates_per_phase(self):
-        reg = MetricRegistry()
-        timer = PhaseTimer("repro.test.algo", registry=reg)
-        with timer.phase("setup"):
-            pass
-        with timer.phase("solve"):
-            pass
-        with timer.phase("solve"):
-            pass
-        report = timer.report()
-        assert set(report) == {"setup", "solve"}
-        assert report["solve"]["calls"] == 2
-        assert report["solve"]["seconds"] >= 0
+def _phase_count(dotted: str, phase: str, registry=REGISTRY) -> int:
+    return registry.histogram(
+        metric_name(dotted), f"per-phase wall time of {dotted}", ("phase",)
+    ).labels(phase=phase).count
 
+
+class TestPhaseTimer:
     def test_phases_are_labeled_histograms(self):
         reg = MetricRegistry()
         timer = PhaseTimer("repro.test.algo2", registry=reg)
@@ -92,22 +84,27 @@ class TestPhaseTimer:
         )
         assert family.labels(phase="only").count == 1
 
-    def test_reset_clears_local_totals_only(self):
+    def test_attached_tracer_gets_phase_spans(self, recorder):
+        """Phases are spans: named ``<timer>.<phase>``, children of the
+        current span, recorded while the recorder is on."""
         reg = MetricRegistry()
-        timer = PhaseTimer("repro.test.algo3", registry=reg)
-        with timer.phase("p"):
-            pass
-        timer.reset()
-        assert timer.report() == {}
+        timer = PhaseTimer("repro.test.algo4", registry=reg)
+        with Span("outer") as outer:
+            with timer.phase("inner") as inner:
+                pass
+        names = [s.name for s in recorder.finished()]
+        assert names == ["repro.test.algo4.inner", "outer"]
+        assert inner.parent is outer
 
-    def test_attached_tracer_gets_phase_spans(self):
+    def test_timed_calls_are_spans(self, recorder):
         reg = MetricRegistry()
-        tracer = Tracer()
-        timer = PhaseTimer("repro.test.algo4", registry=reg, tracer=tracer)
-        with timer.phase("inner"):
+
+        @timed("repro.test.spanned", registry=reg)
+        def fn():
             pass
-        names = [s.name for s in tracer.finished()]
-        assert names == ["repro.test.algo4.inner"]
+
+        fn()
+        assert [s.name for s in recorder.finished()] == ["repro.test.spanned"]
 
     def test_phase_records_on_exception(self):
         reg = MetricRegistry()
@@ -115,7 +112,7 @@ class TestPhaseTimer:
         with pytest.raises(ValueError):
             with timer.phase("p"):
                 raise ValueError("x")
-        assert timer.report()["p"]["calls"] == 1
+        assert _phase_count("repro.test.algo5", "p", reg) == 1
 
 
 class TestInstrumentedPipelines:
@@ -126,13 +123,13 @@ class TestInstrumentedPipelines:
         from repro.ltl import parse
         from repro.ltl.translate import _PHASES, _TRANSLATIONS, translate
 
+        phases = ("tableau", "degeneralize", "trim", "quotient")
         before = _TRANSLATIONS.value
-        phases_before = {k: v["calls"] for k, v in _PHASES.report().items()}
+        phases_before = {p: _phase_count(_PHASES.name, p) for p in phases}
         translate(parse("G (a -> F b)"), "ab")
         assert _TRANSLATIONS.value == before + 1
-        report = _PHASES.report()
-        for phase in ("tableau", "degeneralize", "trim", "quotient"):
-            assert report[phase]["calls"] == phases_before.get(phase, 0) + 1
+        for phase in phases:
+            assert _phase_count(_PHASES.name, phase) == phases_before[phase] + 1
 
     def test_buchi_decompose_counts_up(self):
         from repro.buchi.decomposition import _DECOMPOSITIONS, _decompose as decompose

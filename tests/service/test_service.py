@@ -9,7 +9,8 @@ import pytest
 from repro.buchi import BuchiAutomaton
 from repro.lattice import LatticeClosure, boolean_lattice
 from repro.ltl import parse, translate
-from repro.obs import REGISTRY, Tracer
+from repro.obs import REGISTRY
+from repro.obs.trace import Span
 from repro.service import (
     AnalysisService,
     CheckRequest,
@@ -380,19 +381,79 @@ class TestObservability:
         assert snap["workers"] == 2
         assert snap["cache_misses"] >= 1
 
-    def test_spans_enqueue_compute_reply(self):
-        tracer = Tracer()
-        with AnalysisService(workers=2, tracer=tracer) as svc:
-            svc.request(DecomposeRequest(automaton()))
-        spans = tracer.finished()
-        by_name = {s.name: s for s in spans}
-        assert {"service.enqueue", "service.compute", "service.reply"} <= set(
-            by_name
-        )
-        assert by_name["service.compute"].parent_id == \
-            by_name["service.enqueue"].span_id
-        assert by_name["service.reply"].parent_id == \
-            by_name["service.compute"].span_id
+    def test_spans_enqueue_compute_reply(self, recorder):
+        """A miss served on a pool worker is one span tree: the request
+        root, its compute → queue → compute phases, and the kernel spans
+        below the worker's compute phase — every span inside its
+        parent's time."""
+        with AnalysisService(workers=2) as svc:
+            reply = svc.submit(DecomposeRequest(automaton()))
+            reply.result()
+        root = reply.context
+        spans = [s for s in recorder.finished() if s.request is root]
+        assert spans[-1] is root and root.parent_id is None
+        phases = [s for s in spans if s.parent is root]
+        assert [s.name for s in phases] == ["compute", "queue", "compute"]
+        # the phases tile the request's lifetime in order
+        for before, after in zip(phases, phases[1:]):
+            assert before.end <= after.start
+        kernel = [s for s in spans[:-1] if s.parent is not root]
+        assert kernel
+        assert all(s.name.startswith("repro.") for s in kernel)
+        for span in spans[:-1]:
+            assert span.parent in spans
+            assert span.parent_id == span.parent.span_id
+            assert span.parent.start <= span.start <= span.end <= span.parent.end
+
+    def test_miss_on_a_worker_charges_kernel_spans_to_its_request(self):
+        with AnalysisService(workers=2) as svc:
+            reply = svc.submit(DecomposeRequest(automaton("G (a -> F b)")))
+            result = reply.result()
+            assert svc.pool.started
+        assert not result.cached
+        subphases = reply.context.subphases()
+        assert subphases["repro.buchi.decompose.closure"] > 0
+        assert set(reply.context.phases()) == {"compute", "queue"}
+
+    def test_kernel_subphases_are_the_spans_under_the_root(self, recorder):
+        with AnalysisService(workers=2) as svc:
+            reply = svc.submit(DecomposeRequest(automaton("G (b -> F a)")))
+            reply.result()
+        root = reply.context
+        kernel = [s for s in recorder.finished()
+                  if s.request is root and s is not root
+                  and s.parent is not root]
+        names = {s.name for s in kernel}
+        assert "repro.buchi.decompose.closure" in names
+        assert names == set(root.subphases())
+        for name, seconds in root.subphases().items():
+            assert sum(s.duration() for s in kernel
+                       if s.name == name) == pytest.approx(seconds)
+        worker_compute = [s for s in recorder.finished()
+                          if s.parent is root and s.name == "compute"][-1]
+        for span in kernel:
+            # computed on the pool thread, under the worker's compute phase
+            assert span.thread_id == worker_compute.thread_id
+            assert span.thread_id != threading.get_ident()
+            ancestor = span.parent
+            while ancestor.parent is not root:
+                ancestor = ancestor.parent
+            assert ancestor is worker_compute
+
+    def test_untracked_requests_open_no_phase_spans(self, recorder):
+        """``track_inflight=False`` opens no phase span, so nothing is
+        charged to a span the caller has current."""
+        with AnalysisService(workers=2, track_inflight=False) as svc:
+            with Span("caller") as caller:
+                request = DecomposeRequest(automaton("G (a -> F a)"))
+                miss = svc.submit(request)
+                miss.result()
+                hit = svc.submit(request)
+                hit.result()
+        assert miss.context is None and hit.context is None
+        names = {s.name for s in recorder.finished()}
+        assert names.isdisjoint({"service.request", "compute", "queue"})
+        assert caller.request is None
 
     def test_pending_property_drains_to_zero(self, service):
         for _ in range(4):
