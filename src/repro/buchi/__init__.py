@@ -52,14 +52,12 @@ from .operations import (
     union,
 )
 from .random_automata import random_automaton, random_dense_automaton, random_lasso
-from .minimize import MinimalMonitorDfa, minimize_good_prefix_dfa
+from .minimize import minimize_good_prefix_dfa
 from .subset import SubsetTable
 from .safety import (
-    GoodPrefixDfa,
     good_prefix_dfa,
     is_bad_prefix,
     minimal_bad_prefixes,
-    safety_automaton_has_no_bad_prefix,
     shortest_bad_prefix,
 )
 from .simulation import direct_simulation, quotient_by_simulation
@@ -106,12 +104,9 @@ __all__ = [
     "weakest_liveness_violation",
     "GeneralizedBuchiAutomaton",
     "fairness_intersection",
-    "GoodPrefixDfa",
     "good_prefix_dfa",
     "is_bad_prefix",
     "shortest_bad_prefix",
     "minimal_bad_prefixes",
-    "safety_automaton_has_no_bad_prefix",
-    "MinimalMonitorDfa",
     "minimize_good_prefix_dfa",
 ]

@@ -1,66 +1,42 @@
-"""Minimization of good-prefix DFAs (Hopcroft-style partition refinement).
+"""Minimization of good-prefix DFAs (Moore partition refinement).
 
-The enforcement monitors and bad-prefix analyses run a deterministic
-subset automaton whose states are sets of Büchi states; minimizing it
-gives the canonical (smallest) monitor for the safety property — and,
-because minimal DFAs are unique up to isomorphism, a *canonical form*
-for safety languages that the tests use to compare closures
-structurally rather than just extensionally.
+The enforcement monitors and bad-prefix analyses run the subset
+automaton :class:`~repro.buchi.subset.SubsetTable`; minimizing it gives
+the canonical (smallest) monitor for the safety property — and, because
+minimal DFAs are unique up to isomorphism, a *canonical form* for
+safety languages that the tests use to compare closures structurally
+rather than just extensionally.  The result is again a
+:class:`SubsetTable`, so every consumer of the table runs the minimized
+monitor unchanged.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.automata.interner import Interner
-
-from .safety import GoodPrefixDfa
+from .subset import SubsetTable
 
 
-@dataclass(frozen=True)
-class MinimalMonitorDfa:
-    """A minimized good-prefix DFA; states are opaque ints, state 0 is
-    initial; ``dead`` is ``None`` when the language is live (no bad
-    prefix at all)."""
+def minimize_good_prefix_dfa(dfa: SubsetTable) -> SubsetTable:
+    """Partition-refinement (Moore) minimization of the reachable part.
 
-    alphabet: frozenset
-    n_states: int
-    initial: int
-    transitions: dict  # (int, symbol) -> int
-    dead: int | None
-
-    def run(self, word) -> int:
-        current = self.initial
-        for symbol in word:
-            current = self.transitions[current, symbol]
-        return current
-
-    def accepts_good(self, word) -> bool:
-        return self.run(word) != self.dead
-
-
-def minimize_good_prefix_dfa(dfa: GoodPrefixDfa) -> MinimalMonitorDfa:
-    """Partition-refinement (Moore) minimization on an int-indexed table.
-
-    Reachable subsets are interned to dense ints first; the initial
-    partition is {dead} vs the rest (acceptance = "still good"); each
-    round re-labels states by (block, successor-block signature) with
-    block ids assigned in state order, so the result — and its numbering,
-    initial block 0 first — is fully deterministic.
+    Reachable states are numbered in breadth-first order from the
+    initial state; the initial partition is alive vs dead; each round
+    re-labels states by (block, successor-block signature) with block
+    ids assigned in state order, so the result — and its numbering,
+    initial block 0 first — is fully deterministic.  A live language
+    minimizes to a table with no dead state at all.
     """
-    symbols = sorted(dfa.alphabet, key=repr)
-    ids = Interner()
-    ids.intern(dfa.initial)
-    trans: list = []
-    i = 0
-    while i < len(ids):
-        s = ids.value(i)
-        trans.append([ids.intern(dfa.transitions[s, a]) for a in symbols])
-        i += 1
-    subsets = ids.values()
-    n = len(subsets)
+    order = [dfa.initial]
+    number = {dfa.initial: 0}
+    for state in order:
+        for target in dfa.next_state[state]:
+            if target not in number:
+                number[target] = len(order)
+                order.append(target)
+    trans = [tuple(number[t] for t in dfa.next_state[s]) for s in order]
+    alive = [dfa.alive[s] for s in order]
+    n = len(order)
 
-    block_of = [0 if subsets[s] else 1 for s in range(n)]
+    block_of = [0 if alive[s] else 1 for s in range(n)]
     n_blocks = len(set(block_of))
     while True:
         remap: dict = {}
@@ -75,25 +51,13 @@ def minimize_good_prefix_dfa(dfa: GoodPrefixDfa) -> MinimalMonitorDfa:
             break
         n_blocks = len(remap)
 
-    # state 0 is dfa.initial and block ids are first-occurrence in state
-    # order, so the initial block is 0 already
+    # state 0 is the initial state and block ids are first-occurrence in
+    # state order, so the initial block is 0 already
     representative: list = [-1] * n_blocks
     for s in range(n - 1, -1, -1):
         representative[block_of[s]] = s
-    transitions = {}
-    for b in range(n_blocks):
-        row = trans[representative[b]]
-        for a_i, a in enumerate(symbols):
-            transitions[b, a] = block_of[row[a_i]]
-    dead = None
-    for s in range(n):
-        if not subsets[s]:
-            dead = block_of[s]
-            break
-    return MinimalMonitorDfa(
-        alphabet=dfa.alphabet,
-        n_states=n_blocks,
-        initial=0,
-        transitions=transitions,
-        dead=dead,
+    return SubsetTable(
+        dfa.symbols, dfa.symbol_index, 0,
+        tuple(tuple(block_of[t] for t in trans[r]) for r in representative),
+        tuple(alive[r] for r in representative),
     )

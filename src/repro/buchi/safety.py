@@ -2,11 +2,12 @@
 
 Alpern–Schneider's safety = "every violation has a finite witness": a
 *bad prefix* is a finite word none of whose extensions lie in the
-language.  This module makes bad prefixes first-class:
+language.  This module makes bad prefixes first-class, all on the one
+prefix DFA :class:`~repro.buchi.subset.SubsetTable`:
 
 * :func:`good_prefix_dfa` — the deterministic finite-word automaton of
   *good* (extendable) prefixes, i.e. the subset construction over the
-  closure's live states; its dead state marks exactly the bad prefixes;
+  live states; its dead state marks exactly the bad prefixes;
 * :func:`is_bad_prefix` / :func:`shortest_bad_prefix`;
 * :func:`minimal_bad_prefixes` — enumerate the minimal violation
   witnesses up to a length bound (every bad prefix extends a minimal
@@ -17,59 +18,14 @@ language.  This module makes bad prefixes first-class:
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
-
-from repro.automata.kernel import subset_dfa
 
 from .automaton import BuchiAutomaton
+from .subset import SubsetTable
 
 
-@dataclass(frozen=True)
-class GoodPrefixDfa:
-    """A DFA over finite words: state = live subset; the empty subset is
-    the (unique, absorbing) dead state recognizing bad prefixes."""
-
-    alphabet: frozenset
-    states: frozenset  # frozensets of automaton states
-    initial: frozenset
-    transitions: dict  # (subset, symbol) -> subset
-
-    @property
-    def dead(self) -> frozenset:
-        return frozenset()
-
-    def run(self, word: Sequence) -> frozenset:
-        current = self.initial
-        for symbol in word:
-            current = self.transitions[current, symbol]
-        return current
-
-    def accepts_good(self, word: Sequence) -> bool:
-        """True when ``word`` is a good (still extendable) prefix."""
-        return bool(self.run(word))
-
-
-def good_prefix_dfa(automaton: BuchiAutomaton) -> GoodPrefixDfa:
-    """The prefix DFA of ``lcl(L(B))`` — good prefixes of ``L(B)``.
-
-    The subset construction runs on the dense core restricted to the
-    live states, then the subset bitmasks are uninterned back to
-    frozensets of the original states.
-    """
-    form = automaton.to_dense()
-    dfa = subset_dfa(form.core, restrict=form.live())
-    subset_states = tuple(form.unintern_mask(m) for m in dfa.subsets)
-    transitions: dict = {}
-    for s, row in enumerate(dfa.trans):
-        source = subset_states[s]
-        for a, t in enumerate(row):
-            transitions[source, form.symbols[a]] = subset_states[t]
-    return GoodPrefixDfa(
-        alphabet=automaton.alphabet,
-        states=frozenset(subset_states),
-        initial=subset_states[dfa.initial],
-        transitions=transitions,
-    )
+def good_prefix_dfa(automaton: BuchiAutomaton) -> SubsetTable:
+    """The prefix DFA of ``lcl(L(B))`` — good prefixes of ``L(B)``."""
+    return SubsetTable.from_automaton(automaton)
 
 
 def is_bad_prefix(automaton: BuchiAutomaton, word: Sequence) -> bool:
@@ -81,25 +37,23 @@ def shortest_bad_prefix(automaton: BuchiAutomaton) -> tuple | None:
     """A shortest bad prefix, or ``None`` when the language is live
     (liveness = no bad prefixes at all — the RV-side characterization)."""
     dfa = good_prefix_dfa(automaton)
-    if not dfa.initial:
+    alive, rows, symbols = dfa.alive, dfa.next_state, dfa.symbols
+    if not alive[dfa.initial]:
         return ()
     parent: dict = {dfa.initial: None}
     queue = [dfa.initial]
-    symbols = sorted(dfa.alphabet, key=repr)
-    while queue:
-        subset = queue.pop(0)
-        for a in symbols:
-            target = dfa.transitions[subset, a]
-            if not target:
-                word = [a]
-                node = subset
+    for state in queue:
+        for a, target in enumerate(rows[state]):
+            if not alive[target]:
+                word = [symbols[a]]
+                node = state
                 while parent[node] is not None:
                     node, symbol = parent[node]
                     word.append(symbol)
                 word.reverse()
                 return tuple(word)
             if target not in parent:
-                parent[target] = (subset, a)
+                parent[target] = (state, symbols[a])
                 queue.append(target)
     return None
 
@@ -111,25 +65,19 @@ def minimal_bad_prefixes(
     every proper prefix is good.  In the DFA these are exactly the words
     whose run dies on the last symbol."""
     dfa = good_prefix_dfa(automaton)
-    symbols = sorted(dfa.alphabet, key=repr)
-    if not dfa.initial:
+    alive, rows, symbols = dfa.alive, dfa.next_state, dfa.symbols
+    if not alive[dfa.initial]:
         yield ()
         return
 
-    def explore(subset: frozenset, word: tuple):
+    def explore(state: int, word: tuple):
         if len(word) >= max_length:
             return
-        for a in symbols:
-            target = dfa.transitions[subset, a]
-            if not target:
-                yield word + (a,)
+        for a, target in enumerate(rows[state]):
+            extended = word + (symbols[a],)
+            if not alive[target]:
+                yield extended
             else:
-                yield from explore(target, word + (a,))
+                yield from explore(target, extended)
 
     yield from explore(dfa.initial, ())
-
-
-def safety_automaton_has_no_bad_prefix(automaton: BuchiAutomaton) -> bool:
-    """``lcl(L(B)) = Σ^ω`` iff the prefix DFA never dies — the liveness
-    test, restated over finite words."""
-    return shortest_bad_prefix(automaton) is None

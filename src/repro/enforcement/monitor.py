@@ -6,9 +6,11 @@ correspond to Büchi automata that accept safe languages.*  This module
 realizes both directions:
 
 * :class:`SecurityMonitor` — an execution monitor built from a *safety*
-  Büchi automaton (all states accepting, e.g. anything produced by the
-  closure operator).  It observes events one at a time and truncates the
-  execution the moment the observed prefix becomes a bad prefix.
+  Büchi automaton (all states accepting, or empty — anything produced
+  by the closure operator).  It runs the automaton's prefix DFA,
+  :class:`~repro.buchi.subset.SubsetTable`, one event at a time and
+  truncates the execution the moment the observed prefix becomes a bad
+  prefix.
 * :func:`is_enforceable` / :func:`enforcement_gap` — the formal content:
   a property is enforceable by truncation iff it is a safety property;
   for a non-safety property the monitor of its *closure* is the best
@@ -23,6 +25,7 @@ from dataclasses import dataclass
 
 from repro.buchi.automaton import BuchiAutomaton
 from repro.buchi.closure import closure, is_safety
+from repro.buchi.emptiness import is_empty
 from repro.buchi.inclusion import equivalence_counterexample
 from repro.omega.word import LassoWord
 from repro.buchi.subset import SubsetTable
@@ -44,16 +47,19 @@ class SecurityMonitor:
     """A truncation monitor for a safety property.
 
     Runs the subset construction of a safety automaton, pre-determinized
-    into a :class:`~repro.buchi.subset.SubsetTable` (the code path shared
-    with the streaming engine in :mod:`repro.rv`): the monitor admits an
-    event iff some run of the automaton survives it; once no run
-    survives, the prefix is *bad* and the execution is truncated (every
-    continuation violates the policy — exactly why only safety is
-    enforceable this way).
+    into the repository's one prefix DFA,
+    :class:`~repro.buchi.subset.SubsetTable` (the table the streaming
+    monitors in :mod:`repro.rv` and bad-prefix analysis run too): the
+    monitor admits an event iff some live run of the automaton survives
+    it; once none survives, the prefix is *bad* and the execution is
+    truncated (every continuation violates the policy — exactly why only
+    safety is enforceable this way).
     """
 
     def __init__(self, automaton: BuchiAutomaton):
-        if automaton.accepting != automaton.states:
+        # the closure of an empty language is the canonical empty
+        # automaton, which has no accepting state; it truncates at once
+        if automaton.accepting != automaton.states and not is_empty(automaton):
             raise MonitorError(
                 "security automata are safety automata (all states "
                 "accepting); pass the closure of your property"
@@ -73,15 +79,6 @@ class SecurityMonitor:
         from repro.ltl.translate import translate
 
         return cls.for_property(translate(formula, alphabet))
-
-    @classmethod
-    def from_table(cls, table: SubsetTable) -> "SecurityMonitor":
-        """Wrap an already-compiled subset table (the streaming engine's
-        construction path — no re-determinization, shared table)."""
-        self = cls.__new__(cls)
-        self._table = table
-        self.reset()
-        return self
 
     def reset(self) -> None:
         self._state = self._table.initial
@@ -112,18 +109,18 @@ class SecurityMonitor:
         return Verdict(accepted=True, position=self._position)
 
     def admits_prefix(self, events: Sequence) -> bool:
-        """Whether the whole finite execution passes (stateless helper)."""
+        """Whether the whole finite execution passes (stateless helper).
+        A monitor truncated before the first event admits nothing, not
+        even the empty execution."""
         self.reset()
-        verdict = Verdict(accepted=True, position=0)
         for e in events:
-            verdict = self.observe(e)
-            if not verdict.accepted:
-                self.reset()
-                return False
+            if not self.observe(e).accepted:
+                break
+        admitted = not self._dead
         self.reset()
-        return True
+        return admitted
 
-    def admits_lasso(self, word: LassoWord, unroll: int = 2) -> bool:
+    def admits_lasso(self, word: LassoWord) -> bool:
         """Whether the monitor never truncates the infinite execution —
         decided exactly: the subset run over a lasso is eventually
         periodic."""

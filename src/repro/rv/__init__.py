@@ -50,7 +50,7 @@ from .compile import (
 from .engine import RvEngine
 from .pool import WorkerPool
 from .session import BackpressureError, SessionError, SessionManager, TraceSession
-from .stats import Counter, EngineStats, Gauge, Histogram
+from .stats import EngineStats
 from .verdicts import MonitorOutcome, Verdict4, most_severe
 
 __all__ = [
@@ -72,8 +72,5 @@ __all__ = [
     "BackpressureError",
     "WorkerPool",
     "RvEngine",
-    "Counter",
-    "Gauge",
-    "Histogram",
     "EngineStats",
 ]

@@ -21,12 +21,11 @@ machinery that can actually decide it on a finite prefix:
 
 The classes:
 
-* :class:`SubsetTable` — the *live-restricted subset automaton* of a
-  Büchi automaton, determinized once into dense integer tables.  One
-  event step is two list indexings.  The empty subset is materialized as
-  an absorbing dead state, so stepping never branches.  It lives in
-  :mod:`repro.buchi.subset` so that enforcement's truncation monitors
-  can share it without importing this pipeline.
+* :class:`~repro.buchi.subset.SubsetTable` — the *live-restricted
+  subset automaton* of a Büchi automaton, the repository's one prefix
+  DFA, built by the dense kernel's subset construction.  One event step
+  is two tuple indexings.  The empty subset is materialized as an
+  absorbing dead state, so stepping never branches.
 * :class:`MonitorTable` — the product of two subset tables with a
   three-valued verdict attached to every state; definite verdicts are
   absorbing.
@@ -51,8 +50,7 @@ from dataclasses import dataclass
 
 from repro.analysis.decompose import decompose
 from repro.buchi.automaton import BuchiAutomaton
-from repro.buchi.emptiness import live_states
-from repro.buchi.subset import SubsetTable
+from repro.buchi.subset import SubsetTable, good_edge_table
 from repro.ltl.monitoring import Verdict3
 from repro.ltl.simplify import simplify
 from repro.ltl.syntax import Formula, Not, nnf_over_alphabet
@@ -62,8 +60,8 @@ from repro.obs.profile import PhaseTimer
 from .verdicts import MonitorOutcome, Verdict4
 
 #: Per-phase wall time of the compile pipeline (``decompose`` for the
-#: two conjunct factorizations, ``live_states`` / ``determinize`` inside
-#: the subset constructions, ``product`` and ``bound_tracker`` on top).
+#: two conjunct factorizations, ``determinize`` for the two safety
+#: subset tables, ``bound_tracker`` and ``product`` on top).
 _PHASES = PhaseTimer("repro.rv.compile")
 #: Global (cross-cache) hit/miss tallies; per-cache counts stay on the
 #: :class:`CompileCache` instance for :meth:`CompileCache.info`.
@@ -120,19 +118,9 @@ class BoundTracker:
 
     @classmethod
     def from_automaton(cls, liveness: BuchiAutomaton) -> "BoundTracker":
-        """Lower the liveness conjunct onto dense tables + edge flags."""
-        with _PHASES.phase("live_states"):
-            live = live_states(liveness)
-        with _PHASES.phase("determinize"):
-            table = SubsetTable._determinize(liveness, live)
-        accepting = liveness.accepting
-        good = tuple(
-            tuple(
-                bool(liveness.post(subset & accepting, a) & live)
-                for a in table.symbols
-            )
-            for subset in table.subsets
-        )
+        """Lower the liveness conjunct onto dense tables + edge flags
+        (:func:`repro.buchi.subset.good_edge_table`)."""
+        table, good = good_edge_table(liveness)
         return cls(table.symbols, table.symbol_index, table.initial,
                    table.next_state, good)
 
@@ -264,8 +252,9 @@ class DecomposedMonitor(MonitorTable):
         with _PHASES.phase("decompose"):
             positive = decompose(formula, alphabet=alphabet)
             negative = decompose(Not(formula), alphabet=alphabet)
-        pos = SubsetTable.from_automaton(positive.safety, phases=_PHASES)
-        neg = SubsetTable.from_automaton(negative.safety, phases=_PHASES)
+        with _PHASES.phase("determinize"):
+            pos = SubsetTable.from_automaton(positive.safety)
+            neg = SubsetTable.from_automaton(negative.safety)
         with _PHASES.phase("bound_tracker"):
             tracker = BoundTracker.from_automaton(positive.liveness)
         with _PHASES.phase("product"):

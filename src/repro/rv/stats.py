@@ -1,11 +1,10 @@
 """Engine observability — now a facade over the shared metric registry.
 
-PR 1 shipped a one-off ``Counter``/``Histogram`` bundle here; those
-classes now *are* the :mod:`repro.obs.metrics` implementations
-(re-exported below for compatibility), and :class:`EngineStats` is a
-thin facade that registers every engine measurement in the process-wide
-:data:`~repro.obs.metrics.REGISTRY` under ``repro_rv_*`` names with an
-``engine`` label, one label set per engine instance.  Consequences:
+The metric types live in :mod:`repro.obs.metrics` alone;
+:class:`EngineStats` is a thin facade that registers every engine
+measurement in the process-wide :data:`~repro.obs.metrics.REGISTRY`
+under ``repro_rv_*`` names with an ``engine`` label, one label set per
+engine instance.  Consequences:
 
 * ``snapshot()`` keys are unchanged from PR 1 — dashboards and the
   existing ``tests/rv`` suite work unmodified;
@@ -27,18 +26,11 @@ from __future__ import annotations
 import itertools
 
 from repro.ltl.monitoring import Verdict3
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricRegistry,
-    REGISTRY,
-    share_lock,
-)
+from repro.obs.metrics import MetricRegistry, REGISTRY, share_lock
 
 from .verdicts import Verdict4
 
-__all__ = ["Counter", "Gauge", "Histogram", "EngineStats"]
+__all__ = ["EngineStats"]
 
 #: Distinguishes each engine's label set in the shared registry.
 _ENGINE_IDS = itertools.count()

@@ -6,8 +6,7 @@ Layering (each layer only knows the one below):
   (:class:`DecomposeRequest`, :class:`ClassifyRequest`,
   :class:`CheckRequest`, :class:`ServiceResult`), the failure modes
   (:class:`ServiceOverloaded`, :class:`ServiceTimeout`,
-  :class:`ServiceClosed`), and the versioned wire form
-  (``Request.to_wire()`` / ``Request.from_wire()``);
+  :class:`ServiceClosed`);
 * :mod:`repro.service.handlers` — requests → canonical cache keys
   (via the ``canonical_key()`` methods and :mod:`repro.canonical`) and
   compute closures over :func:`repro.analysis.decompose`;
@@ -16,8 +15,10 @@ Layering (each layer only knows the one below):
 * :mod:`repro.service.server` — admission control, worker-pool
   dispatch, deadlines, metrics and spans (:class:`AnalysisService`,
   :class:`PendingReply`);
-* :mod:`repro.service.wire` — the length-prefixed JSON frame protocol
-  the sharded tier speaks;
+* :mod:`repro.service.wire` — the versioned wire form of requests and
+  replies (:func:`~repro.service.wire.encode_request` /
+  :func:`~repro.service.wire.decode_request`) and the
+  length-prefixed JSON frame protocol the sharded tier speaks;
 * :mod:`repro.service.sharded` — N worker processes behind a
   consistent-hash router (:class:`ShardedService`);
 * :mod:`repro.service.client` — the transport-agnostic facade most

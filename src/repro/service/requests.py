@@ -43,23 +43,6 @@ class Request:
     def kind(self) -> str:
         return KIND_OF[type(self)]
 
-    def to_wire(self) -> dict:
-        """This request as a versioned JSON-shaped wire payload
-        (:mod:`repro.service.wire` documents the schema and its
-        injectivity discipline)."""
-        from .wire import encode_request
-
-        return encode_request(self)
-
-    @staticmethod
-    def from_wire(payload: dict) -> "Request":
-        """Rebuild a request from :meth:`to_wire` output; raises
-        :class:`~repro.service.wire.WireError` on version or shape
-        mismatches."""
-        from .wire import decode_request
-
-        return decode_request(payload)
-
 
 @dataclass(frozen=True)
 class DecomposeRequest(Request):

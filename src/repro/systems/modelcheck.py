@@ -27,6 +27,7 @@ from repro.buchi.closure import closure
 from repro.buchi.complement import complement_safety
 from repro.buchi.emptiness import find_accepted_word
 from repro.buchi.operations import intersection
+from repro.buchi.subset import SubsetTable
 from repro.ctl.kripke import KripkeStructure
 from repro.ltl.syntax import Formula, Not
 from repro.ltl.translate import translate
@@ -223,18 +224,15 @@ def _bfs_cycle(node, adjacency) -> list:
 def _minimal_bad_prefix(safety: BuchiAutomaton, word: LassoWord) -> tuple:
     """The shortest prefix of ``word`` that kills every run of the
     safety automaton — the finite refutation safety checking is about."""
-    from repro.buchi.emptiness import live_states
-
-    live = live_states(safety)
+    table = SubsetTable.from_automaton(safety)
     prefix: list = []
-    position = 0
-    current = frozenset({safety.initial})
-    while current & live:
-        symbol = word[position]
+    state = table.initial
+    while table.alive[state]:
+        symbol = word[len(prefix)]
         prefix.append(symbol)
-        current = safety.post(current, symbol)
-        position += 1
-        if position > word.spine_length * (2 ** len(safety.states) + 1):
+        state = table.step(state, symbol)
+        # the run over a lasso is periodic within spine · |table| steps
+        if len(prefix) > word.spine_length * len(table):
             raise AssertionError(
                 "word claimed bad for the safety automaton never dies"
             )

@@ -42,22 +42,21 @@ class TestMinimization:
             frontier = [dfa.initial]
             while frontier:
                 s = frontier.pop()
-                for a in dfa.alphabet:
-                    t = dfa.transitions[s, a]
+                for t in dfa.next_state[s]:
                     if t not in reachable:
                         reachable.add(t)
                         frontier.append(t)
-            assert small.n_states <= len(reachable)
+            assert len(small) <= len(reachable)
 
     def test_live_language_has_no_dead_state(self):
         small = minimize_good_prefix_dfa(good_prefix_dfa(aut("GF a")))
-        assert small.dead is None
-        assert small.n_states == 1  # all prefixes good and equivalent
+        assert all(small.alive)  # no dead state
+        assert len(small) == 1  # all prefixes good and equivalent
 
     def test_empty_language_is_all_dead(self):
         small = minimize_good_prefix_dfa(good_prefix_dfa(aut("false")))
-        assert small.dead is not None
-        assert small.n_states == 1
+        assert not all(small.alive)  # a dead state exists
+        assert len(small) == 1
 
     def test_canonicality(self):
         """Two different automata for the same safety language minimize
@@ -76,7 +75,7 @@ class TestMinimization:
         )
         m1 = minimize_good_prefix_dfa(good_prefix_dfa(a1))
         m2 = minimize_good_prefix_dfa(good_prefix_dfa(a2))
-        assert m1.n_states == m2.n_states
+        assert len(m1) == len(m2)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)

@@ -10,9 +10,9 @@ from repro.buchi import (
     closure,
     good_prefix_dfa,
     is_bad_prefix,
+    is_liveness,
     minimal_bad_prefixes,
     random_automaton,
-    safety_automaton_has_no_bad_prefix,
     semantic_lcl_member,
     shortest_bad_prefix,
 )
@@ -35,9 +35,9 @@ class TestGoodPrefixDfa:
     def test_dfa_is_total_and_deterministic(self):
         m = aut("G (a -> X b)")
         dfa = good_prefix_dfa(m)
-        for subset in dfa.states:
-            for a in dfa.alphabet:
-                assert (subset, a) in dfa.transitions
+        for row in dfa.next_state:
+            assert len(row) == len(dfa.symbols)
+            assert all(0 <= target < len(dfa) for target in row)
 
     def test_good_prefixes_match_semantic_lcl(self):
         """A lasso is in lcl(L) iff all its prefixes are good — the DFA
@@ -65,7 +65,7 @@ class TestBadPrefixes:
     def test_liveness_has_no_bad_prefix(self):
         for text in ("GF a", "FG a", "F a"):
             assert shortest_bad_prefix(aut(text)) is None
-            assert safety_automaton_has_no_bad_prefix(aut(text))
+            assert is_liveness(aut(text))
 
     def test_empty_language_has_empty_bad_prefix(self):
         assert shortest_bad_prefix(aut("false")) == ()

@@ -3,10 +3,11 @@ are byte-for-byte stable (with the PR 10 four-valued keys appended),
 per-engine counts stay independent under the shared registry, and the
 fused drain recorder is equivalent to the individual metric calls."""
 
+import repro.rv
 from repro.ltl import Verdict3, parse
 from repro.obs import metrics as obs_metrics
-from repro.rv import CompileCache, RvEngine
-from repro.rv.stats import Counter, EngineStats, Gauge, Histogram
+from repro.rv import CompileCache, RvEngine, stats as rv_stats
+from repro.rv.stats import EngineStats
 
 SNAPSHOT_KEYS = [
     "events",
@@ -26,10 +27,14 @@ SNAPSHOT_KEYS = [
 
 
 class TestFacade:
-    def test_reexports_are_the_registry_classes(self):
-        assert Counter is obs_metrics.Counter
-        assert Gauge is obs_metrics.Gauge
-        assert Histogram is obs_metrics.Histogram
+    def test_metrics_are_the_registry_classes(self):
+        stats = EngineStats()
+        assert isinstance(stats.events, obs_metrics.Counter)
+        assert isinstance(stats.step_latency, obs_metrics.Histogram)
+        # the metric types have one home: repro.obs.metrics
+        for name in ("Counter", "Gauge", "Histogram"):
+            assert not hasattr(rv_stats, name)
+            assert not hasattr(repro.rv, name)
 
     def test_snapshot_keys_are_the_pr1_contract(self):
         stats = EngineStats()

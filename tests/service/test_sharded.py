@@ -27,7 +27,7 @@ from repro.service import (
 )
 from repro.service.sharded import HashRing
 from repro.service.sharded.worker import ShardWorker
-from repro.service.wire import pack_frame, read_frame
+from repro.service.wire import encode_request, pack_frame, read_frame
 
 ALPHABET = frozenset({"a", "b"})
 
@@ -134,7 +134,7 @@ class TestWorkerProtocol:
         request = DecomposeRequest(parse("G a"), alphabet=ALPHABET)
         piped_worker.send({
             "id": "r-42", "op": "request",
-            "request": request.to_wire(), "trace_id": "r-42",
+            "request": encode_request(request), "trace_id": "r-42",
         })
         reply = piped_worker.recv()
         assert reply["id"] == "r-42" and reply["ok"]
@@ -163,7 +163,7 @@ class TestWorkerProtocol:
         assert reply["ok"] and reply["value"] == 1
         request = DecomposeRequest(parse("G b"), alphabet=ALPHABET)
         piped_worker.send({"id": "r1", "op": "request",
-                           "request": request.to_wire()})
+                           "request": encode_request(request)})
         assert piped_worker.recv()["result"]["cached"] is True
 
     def test_shutdown_acks_then_stops(self, piped_worker):
@@ -188,7 +188,7 @@ class TestWorkerProtocol:
             ids = [f"r{index}" for index in range(20)]
             for frame_id in ids:
                 worker.send({"id": frame_id, "op": "request",
-                             "request": request.to_wire()})
+                             "request": encode_request(request)})
             replies = [worker.recv() for _ in ids]
             assert sorted(reply["id"] for reply in replies) == sorted(ids)
             assert all(reply["ok"] and reply["result"]["cached"]
@@ -210,13 +210,13 @@ class TestWorkerProtocol:
         try:
             request = DecomposeRequest(parse("G a"), alphabet=ALPHABET)
             worker.send({"id": "r1", "op": "request",
-                         "request": request.to_wire()})
+                         "request": encode_request(request)})
             first = worker.recv()
             assert first["ok"]
             assert first["result"]["value"] == {"t": "json", "v": None}
             assert first["result"]["cached"] is False
             worker.send({"id": "r2", "op": "request",
-                         "request": request.to_wire()})
+                         "request": encode_request(request)})
             second = worker.recv()
             assert second["ok"]
             assert second["result"]["value"] == {"t": "json", "v": None}
