@@ -12,14 +12,16 @@ the traffic.  Layering (each layer only knows the one below):
   :class:`MonitorTable` product of the safety closures +
   :class:`BoundTracker` for the liveness conjunct), memoized in an LRU
   :class:`CompileCache`;
-* :mod:`repro.rv.session` — per-trace cursors over shared tables, with
-  bounded-queue backpressure and per-session finitary horizons
-  (:class:`TraceSession`, :class:`SessionManager`);
+* :mod:`repro.rv.session` — per-trace cursors over shared tables with
+  per-session finitary horizons, stepped by the package's one loop
+  (:meth:`TraceSession.encode`, then :meth:`TraceSession.advance`),
+  and the id directory (:class:`SessionManager`);
 * :mod:`repro.rv.pool` — the shared inline-or-parallel
   :class:`WorkerPool` (also runs :mod:`repro.service` cache misses and
   certificate replays);
-* :mod:`repro.rv.engine` — batched ingest, monitor-grouped dispatch
-  over the pool, verdict-transition recording (:class:`RvEngine`);
+* :mod:`repro.rv.engine` — batched ingest (route, encode, then
+  advance), monitor-grouped dispatch over the pool, verdict-transition
+  recording (:class:`RvEngine`);
 * :mod:`repro.rv.stats` — the engine's measurements
   (:class:`EngineStats`), a facade over the shared :mod:`repro.obs`
   metric registry (``repro_rv_*`` families with an ``engine`` label,

@@ -57,7 +57,7 @@ from repro.ltl.syntax import Formula, Not, nnf_over_alphabet
 from repro.obs.metrics import REGISTRY
 from repro.obs.profile import PhaseTimer
 
-from .verdicts import MonitorOutcome, Verdict4
+from .verdicts import MonitorOutcome
 
 #: Per-phase wall time of the compile pipeline (``decompose`` for the
 #: two conjunct factorizations, ``determinize`` for the two safety
@@ -266,55 +266,20 @@ class DecomposedMonitor(MonitorTable):
 
     def run_finitary(self, events: Iterable,
                      horizon: int | None = None) -> MonitorOutcome:
-        """One-shot four-valued trace evaluation under a horizon.
+        """One-shot four-valued trace evaluation under a horizon — the
+        request/reply form the service's ``Monitor`` verb computes.
 
-        The streaming twin lives in :class:`~repro.rv.session
-        .TraceSession`; this is the request/reply form the service's
-        ``Monitor`` verb computes.  ``max_wait`` caps at ``horizon + 1``
-        once the bound is exceeded (the wait stops being informative
-        after the latch).
+        A fresh :class:`~repro.rv.session.TraceSession` advances over
+        the whole trace, so this is the streaming path run once: a
+        negative horizon or an event outside the alphabet (anywhere in
+        the trace) raises ``ValueError``, and ``max_wait`` caps at
+        ``horizon + 1`` once the bound is exceeded.
         """
-        table, symbol_index = self.next_state, self.symbol_index
-        verdicts = self.verdicts
-        tracker = self.tracker
-        ttable, tgood = tracker.next_state, tracker.good
-        state, tstate = self.initial, tracker.initial
-        verdict = verdicts[state]
-        # wait = events since the session last took a good edge
-        # (w(ε) = 0; reset to 0 on a good edge, else w + 1).
-        wait = max_wait = 0
-        latched = False
-        count = 0
-        for e in events:
-            count += 1
-            if verdict is not Verdict3.UNKNOWN:
-                continue
-            i = symbol_index[e]
-            state = table[state][i]
-            verdict = verdicts[state]
-            if not latched:
-                good = tgood[tstate][i]
-                tstate = ttable[tstate][i]
-                if good:
-                    wait = 0
-                else:
-                    wait += 1
-                    if wait > max_wait:
-                        max_wait = wait
-                    if horizon is not None and wait > horizon:
-                        latched = True
-        if verdict is Verdict3.FALSE:
-            verdict4 = Verdict4.FALSIFIED_SAFETY
-        elif latched:
-            verdict4 = Verdict4.LIVENESS_BOUND_EXCEEDED
-        elif verdict is Verdict3.TRUE or wait == 0:
-            verdict4 = Verdict4.SATISFIED_SO_FAR
-        else:
-            verdict4 = Verdict4.INCONCLUSIVE
-        return MonitorOutcome(
-            verdict=verdict4, verdict3=verdict, events=count,
-            max_wait=max_wait, horizon=horizon,
-        )
+        from .session import TraceSession  # session builds on this module
+
+        session = TraceSession(None, self, horizon=horizon)
+        session.advance(session.encode(events))
+        return session.outcome()
 
 
 def canonical_key(formula: Formula, alphabet: Iterable):

@@ -6,16 +6,22 @@ LRU :class:`~repro.rv.compile.CompileCache`), opens a session per live
 trace, and pushes interleaved ``(session_id, event)`` batches.  Each
 batch is:
 
-1. *routed* — events are appended to their session's bounded pending
-   queue in arrival order (per-session order is the only order that
-   matters; sessions are independent);
-2. *grouped* — touched sessions are bucketed by compiled monitor, so a
-   worker's inner loop stays on one transition table (cache-friendly,
+1. *routed* — one pass splits the batch into per-session slices in
+   arrival order (per-session order is the only order that matters;
+   sessions are independent), resolving each session id once;
+2. *encoded* — every slice is checked against its session's alphabet
+   and mapped to table indices (:meth:`TraceSession.encode
+   <repro.rv.session.TraceSession.encode>`) before any session moves,
+   so a rejected batch leaves every session exactly as it was;
+3. *grouped* — the encoded slices are bucketed by compiled monitor, so
+   a worker's inner loop stays on one transition table (cache-friendly,
    and the natural sharding unit);
-3. *dispatched* — groups run on a thread pool (``workers > 1``) or
-   inline (``workers ≤ 1``).  Workers never share a session, so the
-   result is deterministic: identical to draining sessions one by one,
-   which the test suite checks against the reference
+4. *dispatched* — groups run on a thread pool (``workers > 1``) or
+   inline (``workers ≤ 1``), each session advancing over its slice
+   (:meth:`TraceSession.advance <repro.rv.session.TraceSession
+   .advance>`, the one stepping loop).  Workers never share a session,
+   so the result is deterministic: identical to feeding sessions one
+   event at a time, which the test suite checks against the reference
    :class:`~repro.ltl.monitoring.RvMonitor` verdict for verdict.
 
 Python threads don't parallelize the pure-Python table loop (the GIL),
@@ -48,7 +54,7 @@ class RvEngine:
 
     ``horizon`` is the engine-wide default finitary-liveness bound
     (overridable per session in :meth:`open_session`); ``None`` keeps
-    waits unbounded.  Four-valued verdict transitions crossing a drain
+    waits unbounded.  Four-valued verdict transitions crossing a batch
     are recorded in the stats plane (``repro_rv_verdict_*`` families)
     and journaled as ``rv.verdict_transition`` events — severe
     destinations (safety falsified, liveness bound exceeded) at WARN,
@@ -68,14 +74,13 @@ class RvEngine:
         self,
         *,
         workers: int = 0,
-        max_pending: int = 1024,
         horizon: int | None = None,
         cache: CompileCache | None = None,
         stats: EngineStats | None = None,
         journal: EventJournal | None = JOURNAL,
     ):
         self.cache = cache if cache is not None else CompileCache()
-        self.sessions = SessionManager(max_pending=max_pending)
+        self.sessions = SessionManager()
         self.horizon = horizon
         self.stats = stats if stats is not None else EngineStats()
         self.journal = journal
@@ -93,7 +98,6 @@ class RvEngine:
         return self.cache.get(formula, alphabet)
 
     def open_session(self, session_id, formula: Formula, alphabet: Iterable,
-                     max_pending: int | None = None,
                      horizon: int | None = None) -> TraceSession:
         """Open a trace session against the (cached) compiled policy.
 
@@ -101,7 +105,7 @@ class RvEngine:
         different bound pass their own (the monitor is shared either
         way — horizons never reach the compile cache)."""
         session = self.sessions.open(
-            session_id, self.compile(formula, alphabet), max_pending,
+            session_id, self.compile(formula, alphabet),
             self.horizon if horizon is None else horizon,
         )
         self.stats.sessions_opened.add()
@@ -118,11 +122,9 @@ class RvEngine:
 
         Returns ``{session_id: verdict}`` for every session touched by
         the batch.  Raises :class:`~repro.rv.session.SessionError` for
-        unknown ids, ``ValueError`` for foreign symbols and
-        :class:`~repro.rv.session.BackpressureError` when a session's
-        queue would overflow — all *before* any event of the batch is
-        admitted to any queue, so a rejected batch leaves every session
-        exactly as it was.
+        unknown ids and ``ValueError`` for foreign symbols — both
+        *before* any session of the batch moves, so a rejected batch
+        leaves every session exactly as it was.
         """
         if not RECORDER.recording:
             return self._ingest(events, None)
@@ -130,34 +132,33 @@ class RvEngine:
             return self._ingest(events, span)
 
     def _ingest(self, events: Iterable[tuple], span: Span | None) -> dict:
-        routed: dict[int, tuple[TraceSession, list]] = {}
+        routed: dict[object, tuple[TraceSession, list]] = {}
         get = self.sessions.get
         for session_id, event in events:
-            session = get(session_id)
-            entry = routed.get(id(session))
+            entry = routed.get(session_id)
             if entry is None:
-                entry = routed[id(session)] = (session, [])
+                entry = routed[session_id] = (get(session_id), [])
             entry[1].append(event)
         if not routed:
             return {}
-        # admission control: the whole batch is validated before any
-        # event is queued (atomic reject).
+        # admission control: every slice is encoded before any session
+        # advances (atomic reject).
+        groups: dict[int, list] = {}
         for session, batch in routed.values():
-            session.validate_batch(batch)
-        for session, batch in routed.values():
-            session.enqueue_many(batch)
-        touched = [session for session, _ in routed.values()]
-        groups = list(self.sessions.by_monitor(touched).values())
-        self.pool.map(self._drain_group, groups)
+            groups.setdefault(id(session.monitor), []).append(
+                (session, session.encode(batch)))
+        self.pool.map(self._drain_group, list(groups.values()))
         if span is not None:
             span.set(events=sum(len(batch) for _, batch in routed.values()),
-                     sessions=len(touched), groups=len(groups))
+                     sessions=len(routed), groups=len(groups))
         self.stats.batches.add()
-        return {s.session_id: s.verdict for s in touched}
+        return {sid: session.verdict for sid, (session, _) in routed.items()}
 
-    def _drain_group(self, group: list[TraceSession]) -> None:
-        """Drain one monitor group — on a pool thread when parallel, in
-        the ingest span's context either way."""
+    def _drain_group(self, group: list[tuple[TraceSession, list[int]]]
+                     ) -> None:
+        """Advance one monitor group's sessions over their encoded
+        slices — on a pool thread when parallel, in the ingest span's
+        context either way."""
         with (Span("rv.drain_group") if RECORDER.recording
               else _NO_SPAN) as span:
             stats = self.stats
@@ -166,20 +167,20 @@ class RvEngine:
             perf_counter = time.perf_counter
             monotonic = time.monotonic
             drained = stepped = 0
-            for session in group:
-                pending = session.pending
+            for session, indices in group:
+                count = len(indices)
                 was_final = session.finalized
                 before = session.verdict4
                 start = perf_counter()
-                steps = session.drain()
-                record_drain(pending, steps, perf_counter() - start)
-                drained += pending
+                steps = session.advance(indices)
+                record_drain(count, steps, perf_counter() - start)
+                drained += count
                 stepped += steps
                 if session.finalized and not was_final:
                     stats.record_verdict(session.verdict)
                 after = session.verdict4
                 if after is not before:
-                    # verdict transitions are per drain, not per event: the
+                    # verdict transitions are per batch, not per event: the
                     # worker loop stays table-only and the ops plane still
                     # sees every state the *caller* could have observed.
                     stats.record_transition(

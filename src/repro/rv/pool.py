@@ -127,18 +127,16 @@ class WorkerPool:
 
         Single-item sequences and ``workers <= 1`` run inline; otherwise
         the items are fanned out to the executor — each on a copy of the
-        caller's context — and the results are collected in input order
+        caller's context, journaling escaped exceptions as :meth:`submit`
+        does — and the results are collected in input order
         (exceptions re-raise here, as with a plain loop)."""
         if not self.parallel or len(items) <= 1:
             return [fn(item) for item in items]
         executor = self._ensure_executor()
-        # One context copy per item: a contextvars.Context cannot be
-        # entered concurrently, and items may run on distinct threads.
-        contexts = [contextvars.copy_context() for _ in items]
-        futures = [
-            executor.submit(context.run, fn, item)
-            for context, item in zip(contexts, items)
-        ]
+        # _carrying takes one context copy per item: a contextvars.Context
+        # cannot be entered concurrently, and items may run on distinct
+        # threads.
+        futures = [executor.submit(self._carrying(fn, item)) for item in items]
         return [future.result() for future in futures]
 
     def submit(self, fn: Callable, /, *args, **kwargs) -> Future:

@@ -2,16 +2,16 @@
 
 A :class:`TraceSession` is the per-trace slice of monitor state — two
 integers (the product-table state and the bound-tracker state), a wait
-counter, a verdict, and a bounded pending queue.  The expensive objects
-(automata, closures, transition tables, good-edge flags) live in the
-shared :class:`~repro.rv.compile.DecomposedMonitor`; opening a session
-is O(1) and costs a few machine words, which is what makes 10⁴
-concurrent traces against a handful of policies cheap.
+counter and a verdict.  The expensive objects (automata, closures,
+transition tables, good-edge flags) live in the shared
+:class:`~repro.rv.compile.DecomposedMonitor`; opening a session is O(1)
+and costs a few machine words, which is what makes 10⁴ concurrent
+traces against a handful of policies cheap.
 
-Since PR 10 a session carries *two* verdicts side by side:
+A session carries *two* verdicts side by side:
 
-* :attr:`TraceSession.verdict` — the reference three-valued verdict,
-  bit-identical to PR 1 (the safety product table alone decides it);
+* :attr:`TraceSession.verdict` — the reference three-valued verdict
+  (the safety product table alone decides it);
 * :attr:`TraceSession.verdict4` — the four-valued
   :class:`~repro.rv.verdicts.Verdict4` that also reads the liveness
   conjunct's bound tracker: the session counts events since its last
@@ -19,13 +19,22 @@ Since PR 10 a session carries *two* verdicts side by side:
   latches ``LIVENESS_BOUND_EXCEEDED`` forever (Chatterjee–Fijalkow:
   the bound is a safety property of the prefix).
 
-Backpressure is per session: events are *enqueued* (cheap, validated)
-and *drained* (the tight table loop) separately, and a session whose
-pending queue is full raises :class:`BackpressureError` instead of
-buffering unboundedly — the caller decides whether to drop, block, or
-drain.  Bad-prefix truncation is free: once the three-valued verdict is
-definite the drain loop stops touching both tables entirely and only
-counts events (the four-valued verdict is fixed at that point too:
+Every path steps the two conjuncts through one pair of methods:
+:meth:`TraceSession.encode` checks events against the alphabet and maps
+them to table indices, and :meth:`TraceSession.advance` — the only
+stepping loop — moves both tables in lockstep.  :meth:`~TraceSession
+.observe` is one event through both; the engine encodes a whole batch
+before any session moves, then advances each session over its slice;
+:meth:`DecomposedMonitor.run_finitary
+<repro.rv.compile.DecomposedMonitor.run_finitary>` advances a fresh
+session over a whole trace.  Direct callers may also queue encoded
+events (:meth:`~TraceSession.enqueue_many`, bounded by ``max_pending``
+— a full queue raises :class:`BackpressureError` instead of buffering
+unboundedly) and :meth:`~TraceSession.drain` them later.
+
+Bad-prefix truncation is free: once the three-valued verdict is
+definite, :meth:`~TraceSession.advance` stops touching both tables and
+only counts events (the four-valued verdict is fixed at that point too:
 ``FALSE`` dominates everything, and on ``TRUE`` the latch state can no
 longer change), mirroring :meth:`RvMonitor.observe`'s early return.
 """
@@ -33,8 +42,7 @@ longer change), mirroring :meth:`RvMonitor.observe`'s early return.
 from __future__ import annotations
 
 import time
-from collections import deque
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 
 from repro.ltl.monitoring import Verdict3
 
@@ -57,7 +65,8 @@ class TraceSession:
     before ``LIVENESS_BOUND_EXCEEDED`` latches); ``None`` means
     unbounded — waits are still tracked (``max_wait``) but never latch.
     It is a per-session runtime parameter precisely so one cached
-    monitor serves every horizon.
+    monitor serves every horizon.  ``max_pending`` bounds the queue of
+    :meth:`enqueue_many`.
     """
 
     __slots__ = ("session_id", "monitor", "max_pending", "horizon", "tracker",
@@ -80,7 +89,7 @@ class TraceSession:
         self._state = self.monitor.initial
         self._verdict = self.monitor.verdicts[self._state]
         self._events = 0
-        self._pending: deque = deque()
+        self._pending: list[int] = []
         self._tstate = self.tracker.initial
         # wait = events since the last good edge (w(ε) = 0).
         self._wait = 0
@@ -143,104 +152,42 @@ class TraceSession:
             horizon=self.horizon,
         )
 
-    # -- synchronous path ---------------------------------------------------
+    # -- stepping -----------------------------------------------------------
 
-    def observe(self, event) -> Verdict3:
-        """Feed one event immediately (the RvMonitor-compatible path)."""
-        monitor = self.monitor
-        index = monitor.symbol_index.get(event)
-        if index is None:
-            raise ValueError(f"event {event!r} outside the alphabet")
-        self._events += 1
-        if self._verdict is not Verdict3.UNKNOWN:
-            return self._verdict
-        self._state = monitor.next_state[self._state][index]
-        self._verdict = monitor.verdicts[self._state]
-        tracker = self.tracker
-        if not self._latched:
-            # good flag is read on the edge *out of* the current tracker
-            # state, before stepping it (see BoundTracker).
-            if tracker.good[self._tstate][index]:
-                self._wait = 0
-            else:
-                self._wait += 1
-                if self._wait > self._max_wait:
-                    self._max_wait = self._wait
-                if self.horizon is not None and self._wait > self.horizon:
-                    self._latched = True
-            self._tstate = tracker.next_state[self._tstate][index]
-        return self._verdict
-
-    def run(self, events: Iterable) -> Verdict3:
-        """Observe a whole finite trace from a fresh start."""
-        self.reset()
-        for e in events:
-            self.observe(e)
-        return self._verdict
-
-    # -- queued path (engine batches) --------------------------------------
-
-    def enqueue(self, event) -> None:
-        """Admit one event to the pending queue, or push back."""
-        if event not in self.monitor.symbol_index:
-            raise ValueError(f"event {event!r} outside the alphabet")
-        if len(self._pending) >= self.max_pending:
-            raise BackpressureError(
-                f"session {self.session_id!r}: pending queue full "
-                f"({self.max_pending} events); drain before enqueueing more"
-            )
-        self._pending.append(event)
-
-    def validate_batch(self, events: Iterable) -> None:
-        """Check symbols and queue capacity without mutating anything —
-        the engine's pre-admission pass, so a rejected batch leaves every
-        session exactly as it was."""
-        events = list(events)
+    def encode(self, events: Iterable) -> list[int]:
+        """Map events to table indices, raising ``ValueError`` on the
+        first event outside the alphabet (nothing moves either way)."""
         symbol_index = self.monitor.symbol_index
-        for e in events:
-            if e not in symbol_index:
-                raise ValueError(f"event {e!r} outside the alphabet")
-        if len(self._pending) + len(events) > self.max_pending:
-            raise BackpressureError(
-                f"session {self.session_id!r}: batch of {len(events)} would "
-                f"overflow the pending queue ({len(self._pending)} queued, "
-                f"capacity {self.max_pending})"
-            )
+        try:
+            return [symbol_index[e] for e in events]
+        except KeyError as exc:
+            raise ValueError(
+                f"event {exc.args[0]!r} outside the alphabet") from None
 
-    def enqueue_many(self, events: Iterable) -> None:
-        """Admit a whole sequence atomically: all events queue or none."""
-        events = list(events)
-        self.validate_batch(events)
-        self._pending.extend(events)
+    def advance(self, indices: Sequence[int]) -> int:
+        """Step both conjuncts over encoded events; returns table steps.
 
-    def drain(self) -> int:
-        """Process every pending event; returns table steps performed.
-
-        The bound-tracker step is fused into the table loop (one extra
-        indexing plus the wait bookkeeping per event).  After truncation (definite three-valued verdict)
-        the remaining events are counted and dropped without touching
-        either table.
+        The product table and the bound tracker move in lockstep (one
+        extra indexing plus the wait bookkeeping per event).  Once the
+        three-valued verdict is definite the remaining events are
+        counted without touching either table.
         """
-        queue = self._pending
-        if not queue:
-            return 0
-        monitor = self.monitor
-        table, symbol_index = monitor.next_state, monitor.symbol_index
-        state, verdict = self._state, self._verdict
+        verdict = self._verdict
         steps = 0
         if verdict is Verdict3.UNKNOWN:
-            verdicts = monitor.verdicts
-            tracker = self.tracker
+            monitor, tracker = self.monitor, self.tracker
+            table, verdicts = monitor.next_state, monitor.verdicts
             ttable, tgood = tracker.next_state, tracker.good
-            tstate, wait, max_wait = self._tstate, self._wait, self._max_wait
+            state, tstate = self._state, self._tstate
+            wait, max_wait = self._wait, self._max_wait
             latched, horizon = self._latched, self.horizon
-            while queue:
-                i = symbol_index[queue.popleft()]
+            for i in indices:
                 state = table[state][i]
-                self._events += 1
                 steps += 1
                 verdict = verdicts[state]
                 if not latched:
+                    # the good flag is read on the edge *out of* the
+                    # current tracker state (see BoundTracker).
                     if tgood[tstate][i]:
                         wait = 0
                     else:
@@ -252,32 +199,48 @@ class TraceSession:
                     tstate = ttable[tstate][i]
                 if verdict is not Verdict3.UNKNOWN:
                     break
+            self._state, self._verdict = state, verdict
             self._tstate, self._wait, self._max_wait = tstate, wait, max_wait
             self._latched = latched
-        # truncated: the verdict is final, skip the tables entirely.
-        self._events += len(queue)
-        queue.clear()
-        self._state, self._verdict = state, verdict
+        self._events += len(indices)
+        return steps
+
+    def observe(self, event) -> Verdict3:
+        """Feed one event immediately (the RvMonitor-compatible path)."""
+        self.advance(self.encode((event,)))
+        return self._verdict
+
+    # -- queued path ----------------------------------------------------------
+
+    def enqueue_many(self, events: Iterable) -> None:
+        """Admit a whole sequence atomically: all events queue or none."""
+        indices = self.encode(events)
+        if len(self._pending) + len(indices) > self.max_pending:
+            raise BackpressureError(
+                f"session {self.session_id!r}: pending queue full "
+                f"({len(self._pending)} of {self.max_pending} queued, batch "
+                f"of {len(indices)}); drain before enqueueing more"
+            )
+        self._pending.extend(indices)
+
+    def drain(self) -> int:
+        """Advance over every pending event; returns table steps."""
+        steps = self.advance(self._pending)
+        self._pending.clear()
         return steps
 
 
 class SessionManager:
-    """The id → session directory, with monitor-grouping for dispatch."""
+    """The id → session directory."""
 
-    def __init__(self, max_pending: int = 1024):
-        self.max_pending = max_pending
+    def __init__(self):
         self._sessions: dict = {}
 
     def open(self, session_id, monitor: DecomposedMonitor,
-             max_pending: int | None = None,
              horizon: int | None = None) -> TraceSession:
         if session_id in self._sessions:
             raise SessionError(f"session {session_id!r} already open")
-        session = TraceSession(
-            session_id, monitor,
-            self.max_pending if max_pending is None else max_pending,
-            horizon,
-        )
+        session = TraceSession(session_id, monitor, horizon=horizon)
         self._sessions[session_id] = session
         return session
 
@@ -307,12 +270,3 @@ class SessionManager:
 
     def verdicts4(self) -> dict:
         return {sid: s.verdict4 for sid, s in self._sessions.items()}
-
-    def by_monitor(self, sessions: Iterable[TraceSession] | None = None
-                   ) -> dict[int, list[TraceSession]]:
-        """Group sessions by their (shared) compiled monitor — the unit
-        of work the engine hands to one worker."""
-        groups: dict[int, list[TraceSession]] = {}
-        for session in self if sessions is None else sessions:
-            groups.setdefault(id(session.monitor), []).append(session)
-        return groups

@@ -18,7 +18,8 @@ engine instance.  Consequences:
   relative bucket width instead of exactly-but-only the recent window.
 
 The overhead budget is unchanged: one lock acquire and one add per
-recorded value, all charged per *drain*, never per event.
+recorded value, all charged per *drain* — one session advancing over
+its slice of a batch — never per event.
 """
 
 from __future__ import annotations
@@ -44,7 +45,8 @@ class EngineStats:
       :class:`~repro.ltl.monitoring.RvMonitor` position semantics);
     * ``steps`` — actual table transitions (``events - steps`` is the work
       bad-prefix truncation saved);
-    * ``batches`` — ``ingest`` calls; ``drains`` — per-session drains;
+    * ``batches`` — ``ingest`` calls; ``drains`` — per-session drains
+      (one per session touched by a batch);
     * ``verdicts`` — sessions *reaching* each definite verdict kind;
     * ``step_latency`` — per-event seconds, sampled once per drain
       (drain wall-time / events drained).

@@ -313,13 +313,13 @@ class TestEngineIntegration:
             self, recorder, monkeypatch):
         from repro.rv.session import TraceSession
 
-        def broken_drain(session):
+        def broken_advance(session, indices):
             raise RuntimeError("drain failed")
 
         with RvEngine(workers=0) as engine:
             engine.open_session(0, parse("G a"), "ab")
             recorder.clear()
-            monkeypatch.setattr(TraceSession, "drain", broken_drain)
+            monkeypatch.setattr(TraceSession, "advance", broken_advance)
             with pytest.raises(RuntimeError):
                 engine.ingest([(0, "a")])
         assert recorder.open_spans() == []

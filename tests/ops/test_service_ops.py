@@ -267,14 +267,18 @@ class TestPoolEvents:
         assert {dict(e.fields)["worker"] for e in starts} == \
                {dict(e.fields)["worker"] for e in deaths}
 
-    def test_task_errors_are_journaled_and_reraised(self, journal):
-        def boom():
-            raise RuntimeError("exploded")
+    @pytest.mark.parametrize("dispatch", ["submit", "map"])
+    def test_task_errors_are_journaled_and_reraised(self, journal, dispatch):
+        def boom(item=None):
+            if item != "fine":
+                raise RuntimeError("exploded")
 
         with WorkerPool(2, journal=journal) as pool:
-            future = pool.submit(boom)
             with pytest.raises(RuntimeError, match="exploded"):
-                future.result()
+                if dispatch == "submit":
+                    pool.submit(boom).result()
+                else:
+                    pool.map(boom, ["fine", "boom"])
         errors = journal.events(name="pool.task_error")
         assert len(errors) == 1
         assert dict(errors[0].fields)["error"] == "RuntimeError"

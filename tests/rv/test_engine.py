@@ -1,6 +1,7 @@
 """Tests for the streaming engine: batch-vs-sequential equivalence
-(property-based), worker-pool determinism, backpressure, stats, and the
-acceptance workload (100k events, ≥100 sessions, one compile per
+(property-based, against the reference ``RvMonitor`` and a per-event
+replay of the four-valued pipeline), worker-pool determinism, atomic
+rejection, stats, and the acceptance workload (100k events, ≥100 sessions, one compile per
 distinct formula)."""
 
 import random
@@ -10,7 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ltl import RvMonitor, Verdict3, parse
-from repro.rv import BackpressureError, CompileCache, RvEngine, SessionError
+from repro.rv import CompileCache, RvEngine, SessionError
+
+from .test_verdicts import formulas, replay
 
 SPECS = ["G a", "F b", "G (a -> X b)", "GF a", "a & F !a"]
 FORMULAS = [parse(s) for s in SPECS]
@@ -49,23 +52,14 @@ class TestEngineBasics:
         engine = RvEngine(cache=_CACHE)
         assert engine.ingest([]) == {}
 
-    def test_backpressure_propagates(self):
-        engine = RvEngine(cache=_CACHE, max_pending=2)
-        engine.open_session("s", parse("GF a"), "ab")
-        with pytest.raises(BackpressureError):
-            engine.ingest([("s", "a")] * 3)
-
     def test_rejected_batch_is_atomic(self):
-        """A batch that fails admission (foreign symbol or overflow)
-        leaves every session untouched — nothing queued, nothing
-        stepped."""
-        engine = RvEngine(cache=_CACHE, max_pending=4)
+        """A batch that fails admission (foreign symbol) leaves every
+        session untouched — nothing queued, nothing stepped."""
+        engine = RvEngine(cache=_CACHE)
         engine.open_session("s", parse("GF a"), "ab")
         engine.open_session("t", parse("GF a"), "ab")
         with pytest.raises(ValueError, match="outside the alphabet"):
             engine.ingest([("s", "a"), ("t", "a"), ("s", "z")])
-        with pytest.raises(BackpressureError):
-            engine.ingest([("t", "a")] * 5)
         for sid in ("s", "t"):
             session = engine.sessions.get(sid)
             assert session.pending == 0 and session.position == 0
@@ -73,6 +67,18 @@ class TestEngineBasics:
         engine.ingest([("s", "a"), ("t", "b")])
         assert engine.sessions.get("s").position == 1
         assert engine.sessions.get("t").position == 1
+
+    def test_drain_groups_share_one_table(self, recorder):
+        """Touched sessions are grouped by their shared compiled monitor:
+        one ``rv.drain_group`` span per monitor in the batch."""
+        engine = RvEngine(cache=_CACHE)
+        ids = [("safe", i) for i in range(4)] + [("live", i) for i in range(3)]
+        for kind, i in ids:
+            engine.open_session((kind, i), parse("G a" if kind == "safe"
+                                                 else "GF a"), "ab")
+        engine.ingest([(sid, "a") for sid in ids])
+        groups = [s for s in recorder.finished() if s.name == "rv.drain_group"]
+        assert sorted(s.attrs["sessions"] for s in groups) == [3, 4]
 
     def test_stats_accounting(self):
         engine = RvEngine(cache=CompileCache())
@@ -142,6 +148,58 @@ class TestBatchSequentialEquivalence:
                      engine.stats.steps.value)
                 )
         assert outcomes[0] == outcomes[1]
+
+
+@st.composite
+def finitary_workloads(draw):
+    """Random policies with per-session horizons, an interleaved stream
+    and arbitrary batch cuts."""
+    n_sessions = draw(st.integers(min_value=1, max_value=3))
+    assignments = [
+        (draw(st.sampled_from(FORMULAS) | formulas(max_depth=2)),
+         draw(st.sampled_from((None, 0, 1, 2, 3, 4, 5))))
+        for _ in range(n_sessions)
+    ]
+    # a drawn length: plain lists stay a few events long, too short to
+    # reach most horizons
+    length = draw(st.integers(min_value=0, max_value=60))
+    stream = draw(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=n_sessions - 1),
+                st.sampled_from("ab"),
+            ),
+            min_size=length,
+            max_size=length,
+        )
+    )
+    cuts = draw(st.lists(st.integers(min_value=0, max_value=len(stream)),
+                         max_size=6))
+    return assignments, stream, sorted(cuts)
+
+
+class TestEngineMatchesReplay:
+    @settings(max_examples=60, deadline=None)
+    @given(finitary_workloads(), st.sampled_from((0, 2)))
+    def test_ingest_matches_per_event_replay(self, workload, workers):
+        """After any batching, every session's four-valued verdict,
+        position and longest wait equal a replay of its own trace
+        through the per-event ``MonitorTable.step`` /
+        ``BoundTracker.good_edge``/``step`` API."""
+        assignments, stream, cuts = workload
+        with RvEngine(cache=_CACHE, workers=workers) as engine:
+            for i, (formula, horizon) in enumerate(assignments):
+                engine.open_session(i, formula, "ab", horizon=horizon)
+            bounds = [0, *cuts, len(stream)]
+            for lo, hi in zip(bounds, bounds[1:]):
+                engine.ingest(stream[lo:hi])
+            for i, (_, horizon) in enumerate(assignments):
+                trace = [e for sid, e in stream if sid == i]
+                session = engine.sessions.get(i)
+                expected = replay(session.monitor, trace, horizon)
+                assert session.verdict4 is expected.verdict4
+                assert session.position == len(trace)
+                assert session.max_wait == expected.max_wait
 
 
 class TestAcceptanceWorkload:

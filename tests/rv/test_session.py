@@ -36,11 +36,19 @@ class TestTraceSession:
         with pytest.raises(ValueError, match="outside the alphabet"):
             session.observe("z")
 
+    def test_encode_maps_symbols_and_rejects_foreign_ones(self, safety):
+        session = TraceSession("s", safety)
+        index = safety.symbol_index
+        assert session.encode("ab") == [index["a"], index["b"]]
+        with pytest.raises(ValueError, match="outside the alphabet"):
+            session.enqueue_many("aza")
+        assert session.pending == 0 and session.position == 0
+
     def test_enqueue_drain_equals_observe(self, safety):
         queued = TraceSession("q", safety)
         direct = TraceSession("d", safety)
         for e in "aab":
-            queued.enqueue(e)
+            queued.enqueue_many(e)
             direct.observe(e)
         queued.drain()
         assert queued.verdict is direct.verdict
@@ -48,36 +56,33 @@ class TestTraceSession:
 
     def test_truncation_skips_table_steps(self, safety):
         session = TraceSession("s", safety)
-        for e in "ab":          # bad prefix reached at event 2
-            session.enqueue(e)
+        session.enqueue_many("ab")      # bad prefix reached at event 2
         assert session.drain() == 2
-        for e in "aaaa":        # verdict final — drained but not stepped
-            session.enqueue(e)
+        session.enqueue_many("aaaa")    # verdict final — drained, not stepped
         assert session.drain() == 0
         assert session.position == 6
         assert session.verdict is Verdict3.FALSE
 
     def test_drain_stops_stepping_mid_queue(self, safety):
         session = TraceSession("s", safety)
-        for e in "abaa":        # FALSE after 2 events, 2 more queued
-            session.enqueue(e)
+        session.enqueue_many("abaa")    # FALSE after 2 events, 2 more queued
         assert session.drain() == 2
         assert session.position == 4
 
     def test_backpressure_raises_when_full(self, liveness):
         session = TraceSession("s", liveness, max_pending=3)
-        for e in "aba":
-            session.enqueue(e)
+        session.enqueue_many("aba")
         with pytest.raises(BackpressureError, match="pending queue full"):
-            session.enqueue("a")
+            session.enqueue_many("a")
         # drain frees capacity
         session.drain()
-        session.enqueue("a")
+        session.enqueue_many("a")
         assert session.pending == 1
 
     def test_reset(self, safety):
         session = TraceSession("s", safety)
-        session.run("ab")
+        for e in "ab":
+            session.observe(e)
         assert session.finalized
         session.reset()
         assert session.verdict is Verdict3.UNKNOWN
@@ -106,26 +111,10 @@ class TestSessionManager:
         with pytest.raises(SessionError, match="unknown session"):
             manager.close("nope")
 
-    def test_by_monitor_groups_shared_tables(self, safety, liveness):
-        manager = SessionManager()
-        for i in range(4):
-            manager.open(("safe", i), safety)
-        for i in range(3):
-            manager.open(("live", i), liveness)
-        groups = manager.by_monitor()
-        assert sorted(len(g) for g in groups.values()) == [3, 4]
-        for group in groups.values():
-            assert len({id(s.monitor) for s in group}) == 1
-
-    def test_manager_default_max_pending_propagates(self, safety):
-        manager = SessionManager(max_pending=2)
-        session = manager.open("s", safety)
-        assert session.max_pending == 2
-        override = manager.open("t", safety, max_pending=7)
-        assert override.max_pending == 7
-
     def test_verdicts_snapshot(self, safety):
         manager = SessionManager()
-        manager.open("a", safety).run("aa")
-        manager.open("b", safety).run("ab")
+        manager.open("a", safety).enqueue_many("aa")
+        manager.open("b", safety).enqueue_many("ab")
+        for session in manager:
+            session.drain()
         assert manager.verdicts() == {"a": Verdict3.UNKNOWN, "b": Verdict3.FALSE}

@@ -15,6 +15,7 @@ Three properties tie the streaming verdicts back to the paper:
 """
 
 import random
+from typing import NamedTuple
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -51,6 +52,46 @@ def formulas(draw, max_depth=3):
 
 
 prefixes = st.lists(st.sampled_from(ALPHABET), max_size=12)
+
+
+class Replay(NamedTuple):
+    verdict4: Verdict4
+    max_wait: int
+    exceeded: bool
+
+
+def replay(monitor, trace, horizon) -> Replay:
+    """The oracle for the streaming pipeline: step ``trace`` one event
+    at a time through ``MonitorTable.step`` and
+    ``BoundTracker.good_edge``/``step``, stopping where the pipeline
+    stops (a definite three-valued verdict truncates the session, the
+    tracker still stepping on the event that made it definite; an
+    exceeded horizon freezes the tracker), then resolve the verdict."""
+    tracker = monitor.tracker
+    pstate, tstate = monitor.initial, tracker.initial
+    wait = max_wait = 0
+    exceeded = False
+    for event in trace:
+        if monitor.verdicts[pstate] is not Verdict3.UNKNOWN:
+            break
+        pstate = monitor.step(pstate, event)
+        if exceeded:
+            continue
+        wait = 0 if tracker.good_edge(tstate, event) else wait + 1
+        max_wait = max(max_wait, wait)
+        tstate = tracker.step(tstate, event)
+        if horizon is not None and wait > horizon:
+            exceeded = True
+    verdict3 = monitor.verdicts[pstate]
+    if verdict3 is Verdict3.FALSE:
+        verdict4 = Verdict4.FALSIFIED_SAFETY
+    elif exceeded:
+        verdict4 = Verdict4.LIVENESS_BOUND_EXCEEDED
+    elif verdict3 is Verdict3.TRUE or wait == 0:
+        verdict4 = Verdict4.SATISFIED_SO_FAR
+    else:
+        verdict4 = Verdict4.INCONCLUSIVE
+    return Replay(verdict4, max_wait, exceeded)
 
 
 class TestVerdictLattice:
@@ -124,21 +165,7 @@ class TestBoundedWaits:
     ):
         monitor = compile_formula(formula, ALPHABET)
         outcome = monitor.run_finitary(prefix, horizon=horizon)
-        # replay the tracker by hand, stopping where the pipeline stops
-        # (a definite three-valued verdict truncates the session; the
-        # tracker still steps on the event that made it definite)
-        tracker = monitor.tracker
-        pstate, tstate, wait, exceeded = (
-            monitor.initial, tracker.initial, 0, False,
-        )
-        for event in prefix:
-            if monitor.verdicts[pstate] is not Verdict3.UNKNOWN or exceeded:
-                break
-            pstate = monitor.step(pstate, event)
-            wait = 0 if tracker.good_edge(tstate, event) else wait + 1
-            tstate = tracker.step(tstate, event)
-            if wait > horizon:
-                exceeded = True
+        exceeded = replay(monitor, prefix, horizon).exceeded
         if not outcome.falsified:
             # (falsification outranks the latch in the resolution order,
             # so a falsified outcome says nothing about the replay)

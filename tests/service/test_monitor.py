@@ -69,6 +69,11 @@ class TestMonitorVerb:
                            events="axb").value  # noqa: B018
 
 
+    def test_negative_horizon_is_rejected(self, client):
+        with pytest.raises(ValueError):
+            client.monitor(parse("GF a"), alphabet=ALPHABET, events="a",
+                           horizon=-1).value  # noqa: B018
+
 class TestMonitorCacheKeys:
     def test_cache_key_carries_trace_and_horizon(self):
         formula = parse("G a")
