@@ -11,8 +11,14 @@ persisted to ``BENCH_<area>.json`` at the repo root (one file per
 benchmark module, ``area`` = the module stem minus its ``test_bench_``
 prefix) via :func:`repro.obs.export.dump_bench_json`, so CI can archive
 the numbers and successive runs diff cleanly (stable JSON, sorted keys).
+Each file's ``meta`` carries an environment fingerprint (CPU count,
+Python version, platform, commit), so baselines recorded on different
+machines or trees say so.
 """
 
+import os
+import platform
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -30,6 +36,24 @@ def _area(fullname: str) -> str:
     """``benchmarks/test_bench_rv_throughput.py::test_x[1]`` → ``rv_throughput``."""
     stem = Path(fullname.split("::", 1)[0]).stem
     return stem.removeprefix("test_bench_") or stem
+
+
+def _fingerprint(root: Path) -> dict:
+    """Where the numbers were measured; ``commit`` is ``None`` when git
+    is unavailable or ``root`` is not a checkout."""
+    try:
+        commit = subprocess.run(
+            ["git", "rev-parse", "HEAD"], cwd=root, capture_output=True,
+            text=True, check=True, timeout=10,
+        ).stdout.strip() or None
+    except (OSError, subprocess.SubprocessError):
+        commit = None
+    return {
+        "commit": commit,
+        "cpu_count": os.cpu_count(),
+        "platform": platform.platform(),
+        "python": platform.python_version(),
+    }
 
 
 def pytest_sessionfinish(session, exitstatus):
@@ -66,5 +90,7 @@ def pytest_sessionfinish(session, exitstatus):
             record["extra_info"] = dict(bench.extra_info)
         by_area.setdefault(_area(bench.fullname), []).append(record)
     root = Path(__file__).resolve().parent.parent
+    environment = _fingerprint(root)
     for area, records in sorted(by_area.items()):
-        dump_bench_json(root / f"BENCH_{area}.json", records, meta={"area": area})
+        dump_bench_json(root / f"BENCH_{area}.json", records,
+                        meta={"area": area, **environment})

@@ -8,29 +8,41 @@ objects with different languages must not collide.  This module provides
 the one algorithm behind every ``canonical_key()`` method: canonical
 labeling of a node/edge-colored directed multigraph.
 
-The construction is the classic two-stage scheme (nauty in miniature):
+The construction is the classic two-stage scheme (nauty in miniature,
+after McKay–Piperno), run on integers:
 
+0. **Ranks**: every node color and edge label is serialized once with
+   :func:`stable_token` and replaced by its rank among the sorted
+   distinct tokens.  Ranks depend only on the values, so they are
+   renaming-invariant; the two sorted token tables go into the digest,
+   so equal ranks mean equal values.
 1. **Color refinement** (1-dimensional Weisfeiler–Leman): every node's
-   color is repeatedly re-hashed with the sorted multiset of
-   ``(edge label, neighbor color)`` pairs over its out- and in-edges,
-   until the partition into color classes stabilizes.  Refinement is
-   order-free, so the resulting partition is invariant under any
-   renaming of the nodes.
+   new color is the rank of its signature — its color, then the sorted
+   ``(edge label, neighbor color)`` pairs over its out- and in-edges —
+   among the distinct signatures, until the partition into color
+   classes stabilizes.  Refinement is order-free, so the resulting
+   partition is invariant under any renaming of the nodes.
 2. **Individualization**: if refinement leaves a color class with more
    than one node, each node of the first such class is tentatively
-   given a fresh color and refinement recurses; the lexicographically
-   smallest resulting encoding is taken.  Branching over *every* member
-   of the class keeps the result renaming-invariant, and taking the
-   minimum makes it canonical.  The search is exponential only on
-   graphs with large automorphism-like classes; a ``budget`` caps the
-   number of leaf encodings and raises :class:`CanonicalizationError`
-   beyond it (callers fall back to an uncacheable key — a cache miss,
-   never a wrong answer).
+   given a fresh color and refinement recurses; the smallest resulting
+   encoding (an int tuple, compared as a tuple) is taken.  Branching
+   over *every* member of the class keeps the result renaming-invariant,
+   and taking the minimum makes it canonical.  A member is skipped when
+   swapping it with an already-branched member is an automorphism
+   (twins, such as clones of one state): the swap maps one subtree onto
+   the other, so the minimum is unchanged.  The search is exponential
+   only on graphs with large symmetric classes that are not twins (a
+   ring); a ``budget`` caps the number of leaf encodings and raises
+   :class:`CanonicalizationError` beyond it (callers fall back to an
+   uncacheable key — a cache miss, never a wrong answer).
 
-The canonical *encoding* lists every node's original color and every
-edge under the canonical numbering, so equal keys imply isomorphic
-inputs (no WL false merges: WL only steers the ordering, the full
-structure is what gets hashed).
+The canonical *encoding* lists every node's original color rank and
+every edge under the canonical numbering, so equal keys imply
+isomorphic inputs (no WL false merges: WL only steers the ordering, the
+full structure is what gets hashed).  The key is one :func:`digest`
+over the ``graph_attrs`` token, the two token tables and ``repr`` of the
+encoding (``repr`` of nested int tuples is injective); nothing is hashed
+per node or per round.
 """
 
 from __future__ import annotations
@@ -87,63 +99,104 @@ def digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:32]
 
 
-def _refine(colors: list[str], out_edges: list[list[tuple[str, int]]],
-            in_edges: list[list[tuple[str, int]]]) -> list[str]:
-    """Run WL color refinement to a fixpoint and return the final colors."""
+def _ranks(values: list) -> list[int]:
+    """Each value's rank among the sorted distinct values.  The ranks
+    depend only on the values' order, never on which node holds them, so
+    ranking is renaming-invariant."""
+    rank = {value: i for i, value in enumerate(sorted(set(values)))}
+    return [rank[value] for value in values]
+
+
+def _refine(colors: list[int], out_edges: list[list[tuple[int, int]]],
+            in_edges: list[list[tuple[int, int]]]) -> list[int]:
+    """Run WL colour refinement to a fixpoint and return the final colours.
+
+    Edges carry their label pre-scaled past every colour, so ``label +
+    colour`` names a ``(label, neighbour colour)`` pair as one int.  A
+    node's new colour is the rank of its signature: its colour, then the
+    sorted pair ints of its out- and in-edges.  The signature leads with
+    the old colour, so the new colours refine the old ones and keep their
+    order; a discrete partition is already the fixpoint."""
     n = len(colors)
     classes = len(set(colors))
     while True:
-        new_colors = []
-        for v in range(n):
-            signature = (
+        new_colors = _ranks([
+            (
                 colors[v],
-                tuple(sorted((label, colors[u]) for label, u in out_edges[v])),
-                tuple(sorted((label, colors[u]) for label, u in in_edges[v])),
+                tuple(sorted([label + colors[u] for label, u in out_edges[v]])),
+                tuple(sorted([label + colors[u] for label, u in in_edges[v]])),
             )
-            new_colors.append(digest(stable_token(signature)))
-        new_classes = len(set(new_colors))
-        if new_classes == classes:
+            for v in range(n)
+        ])
+        new_classes = max(new_colors) + 1
+        if new_classes in (classes, n):
             return new_colors
         colors, classes = new_colors, new_classes
 
 
-def _encode(order: list[int], base_colors: list[str],
-            edges: list[tuple[str, int, int]]) -> str:
-    """The canonical encoding under a total node order: original colors
-    in canonical position, then the sorted renumbered edge list."""
-    position = {node: i for i, node in enumerate(order)}
-    nodes_part = ",".join(base_colors[node] for node in order)
-    edges_part = ",".join(
-        f"{src}-{label}>{dst}"
-        for label, src, dst in sorted(
-            (label, position[src], position[dst]) for label, src, dst in edges
-        )
+def _swap_is_automorphism(u: int, w: int, out_edges, in_edges) -> bool:
+    """Whether exchanging ``u`` and ``w`` (of equal colour) maps the edge
+    multiset onto itself.  Only edges at ``u`` or ``w`` move, so it is
+    enough that ``u``'s out- and in-edges, with ``u`` and ``w`` swapped
+    at the far end, are exactly ``w``'s."""
+    def swap(x: int) -> int:
+        return w if x == u else u if x == w else x
+
+    return (
+        sorted([(label, swap(x)) for label, x in out_edges[u]])
+        == sorted(out_edges[w])
+        and sorted([(label, swap(x)) for label, x in in_edges[u]])
+        == sorted(in_edges[w])
     )
-    return nodes_part + "|" + edges_part
 
 
-def _canonical_encoding(colors: list[str], base_colors: list[str],
-                        edges: list[tuple[str, int, int]],
-                        out_edges, in_edges, budget: list[int]) -> str:
+def _encode(order: list[int], base_colors: list[int],
+            edges: list[tuple[int, int, int]]) -> tuple:
+    """The canonical encoding under a total node order: original colours
+    in canonical position, then the sorted renumbered edges, each as the
+    int ``(label * n + src) * n + dst``."""
+    n = len(order)
+    position = [0] * n
+    for i, node in enumerate(order):
+        position[node] = i
+    return (
+        tuple([base_colors[node] for node in order]),
+        tuple(sorted([(label * n + position[src]) * n + position[dst]
+                      for label, src, dst in edges])),
+    )
+
+
+def _canonical_encoding(colors: list[int], base_colors: list[int],
+                        edges: list[tuple[int, int, int]],
+                        out_edges, in_edges, budget: list[int]) -> tuple:
     colors = _refine(colors, out_edges, in_edges)
-    by_color: dict[str, list[int]] = {}
+    n = len(colors)
+    members: list[list[int]] = [[] for _ in range(n)]
     for v, color in enumerate(colors):
-        by_color.setdefault(color, []).append(v)
-    tied = sorted(color for color, members in by_color.items() if len(members) > 1)
-    if not tied:
-        order = sorted(range(len(colors)), key=colors.__getitem__)
+        members[color].append(v)
+    target = next((cell for cell in members if len(cell) > 1), None)
+    if target is None:
+        # discrete: the colours are 0..n-1, so they *are* the order
         budget[0] -= 1
         if budget[0] < 0:
             raise CanonicalizationError("individualization budget exceeded")
-        return _encode(order, base_colors, edges)
-    # Individualize each member of the first tied class; keep the minimum.
-    target = by_color[tied[0]]
-    best: str | None = None
+        return _encode([cell[0] for cell in members], base_colors, edges)
+    # Individualize each member of the first tied class (colour n is
+    # fresh: refined colours are ranks below n); keep the minimum.  A
+    # member that some already-branched member can be swapped with by an
+    # automorphism is skipped: the swap maps one subtree onto the other,
+    # so both reach the same minimum.
+    best = None
+    branched: list[int] = []
     for v in target:
-        branched = list(colors)
-        branched[v] = digest(branched[v] + "!")
+        if any(_swap_is_automorphism(b, v, out_edges, in_edges)
+               for b in branched):
+            continue
+        branched.append(v)
+        individualized = list(colors)
+        individualized[v] = n
         encoding = _canonical_encoding(
-            branched, base_colors, edges, out_edges, in_edges, budget
+            individualized, base_colors, edges, out_edges, in_edges, budget
         )
         if best is None or encoding < best:
             best = encoding
@@ -187,21 +240,32 @@ def canonical_digraph_key(
         index = None
     else:
         index = {node: i for i, node in enumerate(node_list)}
-    base_colors = [digest(stable_token(colors.get(node))) for node in node_list]
-    out_edges: list[list[tuple[str, int]]] = [[] for _ in range(n)]
-    in_edges: list[list[tuple[str, int]]] = [[] for _ in range(n)]
-    edge_list: list[tuple[str, int, int]] = []
-    for label, src, dst in edges:
-        token = stable_token(label)
-        if index is None:
-            s, d = src, dst
-        else:
-            s, d = index[src], index[dst]
-        edge_list.append((token, s, d))
-        out_edges[s].append((token, d))
-        in_edges[d].append((token, s))
-    remaining = [budget]
+    # Each colour and label is tokenized once, then replaced by its rank
+    # among the distinct tokens; the two sorted token tables go into the
+    # digest, so the ranks stand for the values.  Tokens are never
+    # memoized by value: 1, 1.0 and True are equal dict keys.
+    color_tokens = [stable_token(colors.get(node)) for node in node_list]
+    edge_list = list(edges)
+    label_tokens = [stable_token(label) for label, _, _ in edge_list]
+    if index is not None:
+        edge_list = [(label, index[src], index[dst])
+                     for label, src, dst in edge_list]
+    base_colors = _ranks(color_tokens)
+    # refinement colours stay at most n (the individualized colour), so
+    # label * (n + 1) + colour is one int per (label, colour) pair
+    out_edges: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    in_edges: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    ranked: list[tuple[int, int, int]] = []
+    for label, (_, src, dst) in zip(_ranks(label_tokens), edge_list):
+        ranked.append((label, src, dst))
+        out_edges[src].append((label * (n + 1), dst))
+        in_edges[dst].append((label * (n + 1), src))
     encoding = _canonical_encoding(
-        list(base_colors), base_colors, edge_list, out_edges, in_edges, remaining
-    ) if n else "|"
-    return digest(stable_token(tuple(graph_attrs)) + "#" + encoding)
+        base_colors, base_colors, ranked, out_edges, in_edges, [budget]
+    ) if n else ()
+    return digest(stable_token((
+        tuple(graph_attrs),
+        tuple(sorted(set(color_tokens))),
+        tuple(sorted(set(label_tokens))),
+        repr(encoding),
+    )))
