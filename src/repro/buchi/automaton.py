@@ -12,7 +12,7 @@ integers for readable output and faster hashing downstream.
 from __future__ import annotations
 
 from collections.abc import Hashable, Iterable, Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from repro.automata.dense import DenseBuchi, DenseForm
 from repro.automata.interner import Interner
@@ -321,6 +321,9 @@ class BuchiAutomaton:
         ``object.__setattr__`` — the dataclass is frozen, but ``eq`` and
         ``hash`` read fields only, so the cache never affects identity;
         a racing double-compute writes the same value twice, harmlessly.
+        The memo is not pickled (:meth:`__getstate__`): the numbering
+        depends only on the fields, so an unpickled copy rebuilds the
+        same form on its first call.
         """
         form = getattr(self, "_dense_form", None)
         if form is not None:
@@ -364,6 +367,13 @@ class BuchiAutomaton:
         holds for the seeded instance."""
         object.__setattr__(self, "_dense_form", form)
 
+    def __getstate__(self) -> dict:
+        """Pickle the dataclass fields only, never a memo (the dense
+        form, the inclusion and complement caches): a pickle is then a
+        function of the automaton's value, whatever has been computed on
+        it, and carries no derived data the receiver can rebuild."""
+        return {name: self.__dict__[name] for name in _FIELDS}
+
     def renumbered(self, name: str | None = None) -> "BuchiAutomaton":
         """An isomorphic copy with states ``0..n-1`` (BFS order from the
         initial state, then the rest in repr order)."""
@@ -387,6 +397,10 @@ class BuchiAutomaton:
             f"BuchiAutomaton({self.name!r}, |Q|={len(self.states)}, "
             f"|δ|={self.transition_count()}, |F|={len(self.accepting)})"
         )
+
+
+#: What a pickle of a :class:`BuchiAutomaton` carries.
+_FIELDS = tuple(f.name for f in fields(BuchiAutomaton))
 
 
 def from_dense(form: DenseForm, name: str = "B") -> BuchiAutomaton:

@@ -9,6 +9,11 @@ losing racer adopts the winner's value instead of double-inserting.
 serves hits with it on the submitting thread and hands only misses to
 its worker pool, whose :meth:`~ResultCache.get_or_compute` counts the
 miss — so every request is counted exactly once.
+:meth:`ResultCache.encoded` keeps one more thing on a line: the wire
+encoding of its value, made once per line by the sharded worker and
+reused by every later hit while the line still holds that same value
+object.  The LRU bounds these bytes along with the values; the
+in-process service never stores any.
 Keys are the canonical structural hashes of :mod:`repro.canonical` —
 renaming-invariant, so isomorphic subjects share one cache line.
 
@@ -16,8 +21,8 @@ Introspection is first-class (the ops plane's ``/debug/cache`` feeds on
 it): every line records its insertion time and hit count,
 :meth:`ResultCache.stats` returns the typed full breakdown — hits,
 misses, certificate-rejected evictions, LRU evictions, entry count and
-a (shallow) bytes estimate — and :meth:`ResultCache.lines` lists the
-per-line ages.  Evictions are reported to the event journal *after* the
+a (shallow) bytes estimate that includes each stored encoding's
+length — and :meth:`ResultCache.lines` lists the per-line ages.  Evictions are reported to the event journal *after* the
 lock is released, never from inside it.
 """
 
@@ -40,10 +45,11 @@ MISS = object()
 class _Line:
     """One cache entry plus its introspection record."""
 
-    __slots__ = ("value", "created_at", "hits", "size")
+    __slots__ = ("value", "created_at", "hits", "size", "encoding")
 
     def __init__(self, value: object):
         self.value = value
+        self.encoding = MISS
         self.created_at = time.perf_counter()
         self.hits = 0
         # Shallow estimate (container/object header only, plus the key's
@@ -53,6 +59,16 @@ class _Line:
             self.size = sys.getsizeof(value)
         except TypeError:
             self.size = 0
+
+
+def _length(encoding) -> int:
+    """A stored encoding's length: characters of a ``str``/``bytes``,
+    summed over the keys and values of a wire payload ``dict``."""
+    if isinstance(encoding, (str, bytes)):
+        return len(encoding)
+    if isinstance(encoding, dict):
+        return sum(_length(k) + _length(v) for k, v in encoding.items())
+    return sys.getsizeof(encoding)
 
 
 @dataclass(frozen=True)
@@ -77,8 +93,8 @@ class ResultCacheStats:
 
     ``rejected`` counts certificate-replay evictions
     (``verify_on_hit``); ``evictions`` counts LRU capacity evictions;
-    ``bytes_estimate`` is a *shallow* sum (keys + top-level values) —
-    a floor, not a census."""
+    ``bytes_estimate`` is a *shallow* sum (keys + top-level values +
+    stored encodings) — a floor, not a census."""
 
     hits: int
     misses: int
@@ -167,6 +183,34 @@ class ResultCache:
             self._hits += 1
             line.hits += 1
             return line.value
+
+    def encoded(self, key: str | None, value: object,
+                encode: Callable[[object], object]) -> object:
+        """``encode(value)``, made once per cache line.
+
+        The encoding is stored on ``key``'s line and reused only while
+        that line still holds ``value`` itself (checked by identity), so
+        a line recomputed after an eviction, an :meth:`invalidate` or a
+        :meth:`put` never serves the old value's bytes.  When ``key`` has
+        no line (an uncacheable ``None`` key never has one), or its line
+        holds another value, the encoding is returned without being
+        stored.  ``encode`` runs outside the lock; two racing first hits
+        may both encode, and the first to store wins.  Counts nothing and
+        does not touch the LRU order."""
+        with self._lock:
+            line = self._entries.get(key)
+            if line is not None and line.value is value \
+                    and line.encoding is not MISS:
+                return line.encoding
+        encoding = encode(value)
+        with self._lock:
+            line = self._entries.get(key)
+            if line is not None and line.value is value:
+                if line.encoding is not MISS:
+                    return line.encoding
+                line.encoding = encoding
+                line.size += _length(encoding)
+        return encoding
 
     def put(self, key: str, value: object) -> None:
         """Insert eagerly (warm start)."""

@@ -13,7 +13,9 @@ verify-on-hit — behind length-prefixed JSON frames on stdin/stdout
   completion order, matched by id.  A cache hit completes inside
   ``submit()``, so the dispatch loop queues its reply frame itself
   before reading the next one; only misses and certificate replays
-  complete on the service's worker pool.  The router's trace id rides in as
+  complete on the service's worker pool.  A reply's value is encoded
+  once per cache line (:meth:`~repro.service.cache.ResultCache.encoded`),
+  so every later hit reuses those bytes.  The router's trace id rides in as
   ``request_id``, so the shard-side in-flight table, slow-log and
   journal show the *same* id the client holds.
 * control frames (``ping``/``readyz``/``cache_stats``/``inflight``/
@@ -46,6 +48,7 @@ from repro.service.wire import (
     decode_request,
     encode_error,
     encode_result,
+    encode_value,
     pack_frame,
     read_frame,
 )
@@ -110,8 +113,12 @@ class ShardWorker:
         if self._chaos_tick():
             os._exit(1)
         try:
+            # a cached value is encoded once per cache line; the serving
+            # metadata is built per reply
+            value = self.service.cache.encoded(result.key, result.value,
+                                               encode_value)
             self._send({"id": frame_id, "ok": True,
-                        "result": encode_result(result)})
+                        "result": encode_result(result, value=value)})
         except WireError as exc:
             self._send({"id": frame_id, "ok": False,
                         "error": encode_error(exc)})

@@ -26,7 +26,12 @@ Subject encodings are a tagged union, most-portable first:
   accepting, full transition relation);
 * ``pickle`` — everything else (lattice elements and closures, Rabin
   tree automata, sample trees, witnesses, reply values) rides as a
-  base64 pickle.  This is the same trust model as
+  base64 pickle.  Büchi automata pickle their dataclass fields only —
+  never a memo such as the dense form — so a value's pickle is a
+  function of the value, whatever has been computed on it since; that is
+  what lets a shard encode a cached reply value once per cache line
+  (:meth:`repro.service.cache.ResultCache.encoded`) and serve every
+  later hit from those bytes.  This is the same trust model as
   :mod:`multiprocessing`: frames are only ever exchanged between a
   router and worker processes *it spawned itself from the same
   codebase* — the wire is an internal process boundary, not a public
@@ -69,6 +74,7 @@ __all__ = [
     "encode_error",
     "encode_request",
     "encode_result",
+    "encode_value",
     "pack_frame",
     "read_frame",
 ]
@@ -121,9 +127,16 @@ def _encode_atom(value) -> list | None:
 
 
 def _decode_atom(pair):
-    if not (isinstance(pair, list) and len(pair) == 2 and pair[0] in ("s", "i")):
-        raise WireError(f"malformed atom {pair!r}")
-    return pair[1] if pair[0] == "s" else int(pair[1])
+    """The inverse of :func:`_encode_atom`: an ``"s"`` atom must hold a
+    ``str`` and an ``"i"`` atom a non-``bool`` ``int``, so each value has
+    exactly one encoding."""
+    if isinstance(pair, list) and len(pair) == 2:
+        tag, value = pair
+        if tag == "s" and isinstance(value, str):
+            return value
+        if tag == "i" and isinstance(value, int) and not isinstance(value, bool):
+            return value
+    raise WireError(f"malformed atom {pair!r}")
 
 
 def _atom_sort_key(pair: list) -> str:
@@ -335,7 +348,9 @@ def decode_request(payload: dict) -> Request:
 # -- results and errors ------------------------------------------------------
 
 
-def _encode_value(value) -> dict:
+def encode_value(value) -> dict:
+    """A reply value's tagged payload: JSON scalars as themselves,
+    anything else through the pickle arm."""
     if value is None or isinstance(value, (bool, int, float, str)):
         return {"t": "json", "v": value}
     return _pickled(value)
@@ -350,13 +365,15 @@ def _decode_value(payload: dict):
     raise WireError(f"unknown value tag {tag!r}")
 
 
-def encode_result(result: ServiceResult) -> dict:
+def encode_result(result: ServiceResult, *, value: dict | None = None) -> dict:
     """A reply's serving metadata plus its value.  The request itself is
     *not* echoed — the requesting side re-attaches its own object, so an
-    in-process caller keeps identity (``reply.request is request``)."""
+    in-process caller keeps identity (``reply.request is request``).
+    ``value`` is ``encode_value(result.value)`` when the caller already
+    holds it (a shard keeps it on the value's cache line)."""
     return {
         "v": WIRE_VERSION,
-        "value": _encode_value(result.value),
+        "value": encode_value(result.value) if value is None else value,
         "cached": bool(result.cached),
         "key": result.key,
         "elapsed_seconds": result.elapsed_seconds,

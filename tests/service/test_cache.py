@@ -127,6 +127,89 @@ class TestRacing:
         assert len({id(v) for v in results}) == 1
 
 
+class TestEncoded:
+    """``encoded()``: a line's wire encoding, made once per value."""
+
+    @staticmethod
+    def counting_encoder():
+        calls = []
+
+        def encode(value):
+            calls.append(value)
+            return f"enc-{len(calls)}"
+
+        return encode, calls
+
+    def test_reused_for_the_same_value(self):
+        cache = ResultCache(journal=None)
+        value = object()
+        cache.put("k", value)
+        encode, calls = self.counting_encoder()
+        assert {cache.encoded("k", value, encode) for _ in range(5)} == {"enc-1"}
+        assert calls == [value]
+        assert cache.info().hits == 0  # encoding counts nothing
+
+    def test_re_encoded_after_eviction(self):
+        cache = ResultCache(maxsize=1, journal=None)
+        first = object()
+        cache.put("k", first)
+        encode, calls = self.counting_encoder()
+        assert cache.encoded("k", first, encode) == "enc-1"
+        cache.put("other", object())  # evicts k
+        second = object()
+        cache.put("k", second)
+        assert cache.encoded("k", second, encode) == "enc-2"
+        assert calls == [first, second]
+
+    def test_re_encoded_after_invalidate(self):
+        cache = ResultCache(journal=None)
+        first = object()
+        cache.put("k", first)
+        encode, calls = self.counting_encoder()
+        assert cache.encoded("k", first, encode) == "enc-1"
+        assert cache.invalidate("k", rejected=True)
+        recomputed, hit = cache.get_or_compute("k", object)
+        assert not hit
+        assert cache.encoded("k", recomputed, encode) == "enc-2"
+        assert cache.encoded("k", recomputed, encode) == "enc-2"
+
+    def test_re_encoded_after_put_of_a_different_value(self):
+        cache = ResultCache(journal=None)
+        first, second = object(), object()
+        cache.put("k", first)
+        encode, calls = self.counting_encoder()
+        assert cache.encoded("k", first, encode) == "enc-1"
+        cache.put("k", second)
+        assert cache.encoded("k", second, encode) == "enc-2"
+        # a stale value no longer on the line is encoded, never stored
+        assert cache.encoded("k", first, encode) == "enc-3"
+        assert cache.encoded("k", second, encode) == "enc-2"
+
+    def test_absent_key_encodes_without_storing(self):
+        cache = ResultCache(journal=None)
+        value = object()
+        encode, calls = self.counting_encoder()
+        assert cache.encoded("absent", value, encode) == "enc-1"
+        assert cache.encoded("absent", value, encode) == "enc-2"
+        assert cache.encoded(None, value, encode) == "enc-3"
+        assert "absent" not in cache and len(cache) == 0
+
+    def test_bytes_estimate_adds_the_encoding_length(self):
+        cache = ResultCache(journal=None)
+        value = object()
+        cache.put("k", value)
+        before = cache.stats().bytes_estimate
+        cache.encoded("k", value, lambda v: "x" * 1000)
+        assert cache.stats().bytes_estimate == before + 1000
+        assert cache.lines()[0]["bytes_estimate"] == before + 1000
+        # a wire payload dict counts its keys' and values' characters
+        other = object()
+        cache.put("k", other)
+        before = cache.stats().bytes_estimate
+        cache.encoded("k", other, lambda v: {"t": "pickle", "b64": "x" * 990})
+        assert cache.stats().bytes_estimate == before + 1 + 6 + 3 + 990
+
+
 class TestStats:
     """The typed introspection surface behind /debug/cache."""
 

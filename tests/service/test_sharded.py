@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from repro.lattice import LatticeClosure, boolean_lattice
 from repro.ltl import parse, translate
 from repro.ops.http import OpsServer
+from repro.omega import LassoWord
 from repro.ops.journal import EventJournal
 from repro.service import (
     AnalysisService,
@@ -194,6 +195,85 @@ class TestWorkerProtocol:
             assert all(reply["ok"] and reply["result"]["cached"]
                        for reply in replies)
             assert service.pool.started is False
+        finally:
+            worker.close()
+
+    @staticmethod
+    def _count_pickles(monkeypatch):
+        from repro.service import wire
+
+        calls = []
+        real = wire._pickled
+
+        def counting(obj):
+            calls.append(obj)
+            return real(obj)
+
+        monkeypatch.setattr(wire, "_pickled", counting)
+        return calls
+
+    def test_hits_reuse_the_lines_encoding(self, monkeypatch):
+        """A shard pickles a cached value once per cache line: 20 hits
+        on a warmed key pickle it exactly once, and a recompute after
+        ``invalidate`` is encoded afresh and decodes to the new value."""
+        from repro.service import handlers
+        from repro.service.wire import decode_result
+
+        request = DecomposeRequest(parse("G a"), alphabet=ALPHABET)
+        key = handlers.cache_key(request)
+        service = AnalysisService(workers=2, max_pending=16)
+        service.cache.put(key, handlers.compute(request))
+        pickles = self._count_pickles(monkeypatch)
+        worker = _PipedWorker(service)
+        try:
+            for index in range(20):
+                worker.send({"id": f"r{index}", "op": "request",
+                             "request": encode_request(request)})
+            replies = [worker.recv() for _ in range(20)]
+            assert all(reply["ok"] and reply["result"]["cached"]
+                       for reply in replies)
+            assert len(pickles) == 1
+            assert len({json.dumps(reply["result"]["value"])
+                        for reply in replies}) == 1
+
+            service.cache.invalidate(key)
+            worker.send({"id": "again", "op": "request",
+                         "request": encode_request(request)})
+            fresh = worker.recv()
+            assert fresh["ok"] and fresh["result"]["cached"] is False
+            assert len(pickles) == 2
+            recomputed = service.cache.lookup(key)
+            assert pickles[-1] is recomputed
+            decoded = decode_result(fresh["result"], request).value
+            assert decoded == recomputed
+            assert decoded.verify_exact()
+        finally:
+            worker.close()
+
+    def test_uncacheable_replies_encode_every_time(self, monkeypatch):
+        """A request without a cache key (a check with a witness) has no
+        line to keep its encoding on, so every reply is encoded."""
+        from repro.service.sharded import worker as worker_module
+
+        encoded = []
+        real = worker_module.encode_value
+
+        def counting(value):
+            encoded.append(value)
+            return real(value)
+
+        monkeypatch.setattr(worker_module, "encode_value", counting)
+        request = CheckRequest(parse("G a"), alphabet=ALPHABET,
+                               witness=LassoWord((), ("a",)))
+        worker = _PipedWorker(AnalysisService(workers=1))
+        try:
+            for index in range(3):
+                worker.send({"id": f"w{index}", "op": "request",
+                             "request": encode_request(request)})
+                reply = worker.recv()
+                assert reply["ok"] and reply["result"]["key"] is None
+                assert reply["result"]["value"] == {"t": "json", "v": True}
+            assert encoded == [True, True, True]
         finally:
             worker.close()
 

@@ -13,6 +13,7 @@ from repro.service import (
     CheckRequest,
     ClassifyRequest,
     DecomposeRequest,
+    MonitorRequest,
     ServiceClosed,
     ServiceError,
     ServiceOverloaded,
@@ -198,6 +199,26 @@ class TestMalformedPayloads:
     def test_encode_non_request(self):
         with pytest.raises(WireError, match="takes a Request"):
             encode_request({"kind": "decompose"})
+
+    @pytest.mark.parametrize("atom", [
+        ["s", 5], ["i", "5"], ["i", True], ["s", None], ["i", "x"],
+    ])
+    def test_mistyped_trace_atoms_rejected(self, atom):
+        """An atom's tag fixes its value's type: a mistyped atom is a
+        malformed payload, not a value that happens to convert."""
+        payload = encode_request(
+            MonitorRequest(parse("G a"), alphabet=ALPHABET, events=("a",))
+        )
+        payload["events"] = {"t": "trace", "events": [["s", "a"], atom]}
+        with pytest.raises(WireError, match="malformed atom"):
+            decode_request(payload)
+
+    def test_valid_trace_atoms_round_trip(self):
+        request = MonitorRequest(parse("G a"), alphabet=ALPHABET,
+                                 events=("a", 5, "5", 0, -3, "b"))
+        payload = encode_request(request)
+        assert payload["events"]["t"] == "trace"
+        assert decode_request(payload).events == request.events
 
 
 class TestResults:
