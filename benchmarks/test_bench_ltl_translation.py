@@ -42,7 +42,7 @@ def _translate_all():
 
 
 def test_translation_sizes(benchmark):
-    rows = benchmark.pedantic(_translate_all, rounds=1, iterations=1)
+    rows = benchmark.pedantic(_translate_all, rounds=5, iterations=1)
     body = [f"{'formula':22s} raw  quotiented   sec"]
     for text, raw, small, t in rows:
         body.append(f"{text:22s} {raw:3d}  {small:9d}   {t:.4f}")
@@ -64,7 +64,7 @@ def test_translation_correctness_sweep(benchmark):
                 count += 1
         return count
 
-    count = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    count = benchmark.pedantic(sweep, rounds=5, iterations=1)
     emit(
         "TRANS — correctness sweep",
         f"{count} (formula, lasso) agreements between tableau and the "

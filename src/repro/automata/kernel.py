@@ -309,42 +309,63 @@ def simulation_masks(core: DenseBuchi) -> tuple:
     """The largest direct-simulation relation, as per-state masks:
     bit ``q`` of ``result[p]`` means ``q`` simulates ``p``.
 
-    Greatest-fixpoint iteration of the standard functional — the same
-    unique relation the pairwise refinement computes, but each
-    refinement round is a handful of mask intersections.
+    Greatest-fixpoint refinement of the standard functional — the same
+    unique relation the pairwise refinement computes, but on masks and
+    driven by a worklist: a state is re-refined only after one of its
+    successors' simulator sets shrank.  The states able to match a move
+    into ``p'`` on ``a`` are the ``a``-predecessors of ``p'``'s
+    simulators, one predecessor-mask union, cached until ``p'``'s
+    simulators shrink.
     """
     n = core.n_states
     full = (1 << n) - 1
     acc = core.accepting
-    init = tuple(full if not (acc >> p) & 1 else acc for p in range(n))
-    sim = list(init)
-    changed = True
-    while changed:
-        changed = False
-        can_match = []
-        for a in range(core.n_symbols):
-            row = core.succ[a]
-            table = []
-            for pn in range(n):
-                t = sim[pn]
-                m = 0
-                for q in range(n):
-                    if row[q] & t:
-                        m |= 1 << q
-                table.append(m)
-            can_match.append(table)
-        for p in range(n):
-            mask = init[p]
-            for a in range(core.n_symbols):
-                for pn in iter_bits(core.succ[a][p]):
-                    mask &= can_match[a][pn]
-                    if not mask:
-                        break
+    succ = core.succ
+    preds = [[0] * n for _ in succ]
+    for pred, row in zip(preds, succ):
+        for q in range(n):
+            for r in iter_bits(row[q]):
+                pred[r] |= 1 << q
+    any_pred = [0] * n
+    for pred in preds:
+        for r in range(n):
+            any_pred[r] |= pred[r]
+    moves = [
+        tuple((a, tuple(iter_bits(row[p]))) for a, row in enumerate(succ) if row[p])
+        for p in range(n)
+    ]
+    # the first round in closed form: a simulator accepts where ``p``
+    # does and moves on every symbol ``p`` moves on
+    moving = [sum(1 << q for q in range(n) if row[q]) for row in succ]
+    sim = []
+    for p in range(n):
+        mask = acc if (acc >> p) & 1 else full
+        for a, _targets in moves[p]:
+            mask &= moving[a]
+        sim.append(mask)
+    can_match: list[dict] = [{} for _ in preds]
+    dirty = full
+    while dirty:
+        low = dirty & -dirty
+        dirty ^= low
+        p = low.bit_length() - 1
+        mask = sim[p]
+        for a, targets in moves[p]:
+            table = can_match[a]
+            for pn in targets:
+                m = table.get(pn)
+                if m is None:
+                    m = table[pn] = post(preds[a], sim[pn])
+                mask &= m
                 if not mask:
                     break
-            if mask != sim[p]:
-                sim[p] = mask
-                changed = True
+            if not mask:
+                break
+        if mask != sim[p]:
+            sim[p] = mask
+            for table in can_match:
+                table.pop(p, None)
+            dirty |= any_pred[p]
     return tuple(sim)
 
 

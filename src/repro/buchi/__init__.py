@@ -20,6 +20,7 @@ from .complement import (
     complement_deterministic,
     complement_rank_based,
     complement_safety,
+    safety_is_universal,
 )
 from .decomposition import BuchiDecomposition
 from .extremal import (
@@ -47,6 +48,7 @@ from .operations import (
     finite_prefix_automaton,
     intersect_many,
     intersection,
+    intersection_is_empty,
     single_word_automaton,
     suffix_language_automaton,
     union,
@@ -73,6 +75,7 @@ __all__ = [
     "semantic_lcl_member",
     "complement",
     "complement_safety",
+    "safety_is_universal",
     "complement_deterministic",
     "complement_rank_based",
     "BuchiDecomposition",
@@ -89,6 +92,7 @@ __all__ = [
     "equivalence_counterexample",
     "union",
     "intersection",
+    "intersection_is_empty",
     "intersect_many",
     "single_word_automaton",
     "suffix_language_automaton",

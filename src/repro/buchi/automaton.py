@@ -60,6 +60,23 @@ class BuchiAutomaton:
                     f"transition ({q!r}, {a!r}) targets unknown states"
                 )
 
+    def __hash__(self) -> int:
+        """A hash over the fields ``==`` compares (``name`` excluded),
+        reading ``transitions`` as the frozenset of its items.  Memoized
+        on the instance beside the dense form, so it never rides in a
+        pickle (:meth:`__getstate__`)."""
+        cached = self.__dict__.get("_hash")
+        if cached is None:
+            cached = hash((
+                self.alphabet,
+                self.states,
+                self.initial,
+                frozenset(self.transitions.items()),
+                self.accepting,
+            ))
+            object.__setattr__(self, "_hash", cached)
+        return cached
+
     @classmethod
     def build(
         cls,
@@ -376,19 +393,22 @@ class BuchiAutomaton:
 
     def renumbered(self, name: str | None = None) -> "BuchiAutomaton":
         """An isomorphic copy with states ``0..n-1`` (BFS order from the
-        initial state, then the rest in repr order)."""
-        interner = self._state_interner()
+        initial state, then the rest in repr order) — the numbering of a
+        memoized dense form when there is one."""
+        form = self.__dict__.get("_dense_form")
+        index = (
+            form.state_index if form is not None
+            else self._state_interner().index_map()
+        )
         return BuchiAutomaton(
             alphabet=self.alphabet,
-            states=frozenset(range(len(interner))),
+            states=frozenset(range(len(index))),
             initial=0,
             transitions={
-                (interner.index_of(q), a): frozenset(
-                    interner.index_of(r) for r in targets
-                )
+                (index[q], a): frozenset(index[r] for r in targets)
                 for (q, a), targets in self.transitions.items()
             },
-            accepting=frozenset(interner.index_of(q) for q in self.accepting),
+            accepting=frozenset(index[q] for q in self.accepting),
             name=self.name if name is None else name,
         )
 

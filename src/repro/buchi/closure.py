@@ -97,9 +97,8 @@ def is_liveness(automaton: BuchiAutomaton) -> bool:
     """``L(B)`` is a liveness property: ``lcl(L(B)) = Σ^ω``.
 
     Equivalently the complement of the (safety) closure automaton is
-    empty — cheap, because safety automata complement by subset
-    construction."""
-    from .complement import complement_safety
-    from .emptiness import is_empty
+    empty — cheap, because a safety automaton is universal iff its
+    subset run never dies."""
+    from .complement import safety_is_universal
 
-    return is_empty(complement_safety(closure(automaton)))
+    return safety_is_universal(closure(automaton))

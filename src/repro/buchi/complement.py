@@ -122,6 +122,30 @@ def complement_safety(automaton: BuchiAutomaton) -> BuchiAutomaton:
         return result
 
 
+def safety_is_universal(automaton: BuchiAutomaton) -> bool:
+    """``L = Σ^ω`` for a *safety* automaton: no finite word kills every
+    run, i.e. the dead subset of the subset construction is unreachable.
+
+    The same answer as ``is_empty(complement_safety(automaton))``, read
+    off the dense subset DFA without naming the complement's states.
+    An automaton with empty language (the canonical ∅ that
+    :func:`repro.buchi.closure.closure` returns) is not universal.
+    """
+    form = automaton.to_dense()
+    core = form.core
+    if core.accepting != core.full_mask():
+        if not form.live() & (1 << core.initial):
+            return False
+        raise ValueError(
+            "safety_is_universal requires a safety automaton "
+            "(all states accepting)"
+        )
+    dfa = subset_dfa(core)
+    return dfa.initial != dfa.dead and not any(
+        dfa.dead in row for s, row in enumerate(dfa.trans) if s != dfa.dead
+    )
+
+
 def complement_deterministic(automaton: BuchiAutomaton) -> BuchiAutomaton:
     """Complement of a deterministic automaton (completed first).
 

@@ -59,12 +59,16 @@ def trim(automaton: BuchiAutomaton) -> BuchiAutomaton:
     """Restrict to useful states: reachable and with non-empty language.
 
     When the initial state itself is useless the result is a canonical
-    one-state automaton for ``∅`` over the same alphabet.
+    one-state automaton for ``∅`` over the same alphabet; when every
+    state is useful (and no transition entry is explicitly empty) it is
+    ``automaton`` itself, dense form included.
     """
     form = automaton.to_dense()
     keep = form.reachable() & form.live()
     if not keep & (1 << form.core.initial):
         return empty_automaton(automaton.alphabet, name=automaton.name)
+    if keep == form.core.full_mask() and all(automaton.transitions.values()):
+        return automaton
     states = form.unintern_mask(keep)
     return BuchiAutomaton(
         alphabet=automaton.alphabet,

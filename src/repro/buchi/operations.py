@@ -10,7 +10,14 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 
-from repro.automata.kernel import iter_bits, product_core
+from repro.automata.kernel import (
+    adjacency,
+    is_cyclic_scc,
+    iter_bits,
+    product_core,
+    reachable_mask,
+    scc_masks,
+)
 from repro.omega.word import LassoWord, Symbol
 
 from .automaton import AutomatonError, BuchiAutomaton, State
@@ -116,6 +123,20 @@ def intersection(
         transitions=transitions,
         accepting=accepting,
         name=name or f"({a.name} ∩ {b.name})",
+    )
+
+
+def intersection_is_empty(a: BuchiAutomaton, b: BuchiAutomaton) -> bool:
+    """``L(a) ∩ L(b) = ∅``: the same answer as
+    ``is_empty(intersection(a, b))``, decided on the dense product core
+    without naming the product's ``(p, q, phase)`` states — no cyclic
+    SCC of the product's reachable part holds an accepting state."""
+    _check_alphabets(a, b)
+    core = product_core(a.to_dense().core, b.to_dense().core)
+    adj = adjacency(core)
+    return not any(
+        component & core.accepting and is_cyclic_scc(component, adj)
+        for component in scc_masks(adj, reachable_mask(core))
     )
 
 

@@ -34,36 +34,37 @@ def quotient_by_simulation(automaton: BuchiAutomaton) -> BuchiAutomaton:
     """Merge states that mutually direct-simulate each other.
 
     Mutual direct simulation is a congruence for the Büchi language, so
-    the quotient recognizes exactly ``L(B)``.
+    the quotient recognizes exactly ``L(B)``.  An automaton without two
+    mutually similar states is its own quotient and is returned as is.
     """
-    relation = direct_simulation(automaton)
-    # union-find over mutually similar states
-    representative: dict[State, State] = {}
-    ordered = sorted(automaton.states, key=repr)
-    for q in ordered:
-        for p in ordered:
-            if (p, q) in relation and (q, p) in relation:
-                representative[q] = representative.get(p, p)
-                break
-        representative.setdefault(q, q)
+    form = automaton.to_dense()
+    sim = simulation_masks(form.core)
+    simulated = [0] * len(sim)  # simulated[q]: the states q simulates
+    for p, simulators in enumerate(sim):
+        for q in iter_bits(simulators):
+            simulated[q] |= 1 << p
+    if all(sim[p] & simulated[p] == 1 << p for p in range(len(sim))):
+        return automaton  # no two states are mutually similar
+    # each class's representative is its first member in repr order
+    names = form.states
+    rep: dict[State, State] = {}
+    for p in sorted(range(len(names)), key=lambda i: repr(names[i])):
+        if names[p] not in rep:
+            for q in iter_bits(sim[p] & simulated[p]):
+                rep[names[q]] = names[p]
 
-    def rep(q: State) -> State:
-        return representative[q]
-
-    states = frozenset(rep(q) for q in automaton.states)
     transitions: dict = {}
     for (q, a), targets in automaton.transitions.items():
-        key = (rep(q), a)
+        key = (rep[q], a)
         merged = transitions.get(key, frozenset()) | frozenset(
-            rep(r) for r in targets
+            rep[r] for r in targets
         )
         transitions[key] = merged
-    accepting = frozenset(rep(q) for q in automaton.accepting)
     return BuchiAutomaton(
         alphabet=automaton.alphabet,
-        states=states,
-        initial=rep(automaton.initial),
+        states=frozenset(rep.values()),
+        initial=rep[automaton.initial],
         transitions=transitions,
-        accepting=accepting,
+        accepting=frozenset(rep[q] for q in automaton.accepting),
         name=automaton.name,
     )

@@ -12,7 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from repro.buchi import BuchiAutomaton, closure
+from repro.buchi import (
+    BuchiAutomaton,
+    closure,
+    intersection_is_empty,
+    safety_is_universal,
+)
 from repro.buchi.decomposition import _decompose as _buchi_decompose
 
 from .syntax import Formula
@@ -53,20 +58,18 @@ def classify(formula: Formula, alphabet) -> Classification:
     Exact, and cheap even for large automata: the complement of the
     formula's language is obtained by translating ``¬formula`` (never by
     automaton complementation), so safety reduces to the emptiness of
-    ``cl(A_φ) ∩ A_¬φ`` and liveness to emptiness of ``¬cl(A_φ)`` (a
-    safety-automaton complement).
+    ``cl(A_φ) ∩ A_¬φ`` and liveness to the universality of the safety
+    automaton ``cl(A_φ)`` (its subset run never dies).  Both questions
+    are decided on dense cores, without building the product or the
+    complement as automata.
     """
-    from repro.buchi.complement import complement_safety
-    from repro.buchi.emptiness import is_empty
-    from repro.buchi.operations import intersection
-
     from .syntax import Not
 
     automaton = translate(formula, alphabet)
     closed = closure(automaton)
     negated = translate(Not(formula), alphabet)
-    safe = is_empty(intersection(closed, negated))
-    live = is_empty(complement_safety(closed))
+    safe = intersection_is_empty(closed, negated)
+    live = safety_is_universal(closed)
     if safe and live:
         kind = PropertyClass.BOTH
     elif safe:

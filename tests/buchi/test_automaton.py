@@ -1,8 +1,13 @@
 """Tests for :mod:`repro.buchi.automaton`."""
 
+import pickle
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.buchi import AutomatonError, BuchiAutomaton
+from repro.buchi.random_automata import random_automaton
 from repro.omega import LassoWord, all_lassos
 
 
@@ -132,3 +137,35 @@ class TestTransformations:
 
     def test_repr(self, aut_p5):
         assert "p5" in repr(aut_p5)
+
+
+class TestHash:
+    @given(st.integers(0, 10_000), st.integers(1, 7))
+    @settings(max_examples=60, deadline=None)
+    def test_hash_is_consistent_with_equality(self, seed, n):
+        """Equal automata hash equal — whatever their name, transition
+        insertion order or pickle round trip — and serve as set members
+        and dict keys; the memoized hash never rides in a pickle."""
+        a = random_automaton(seed, n)
+        before = pickle.dumps(a)
+        reordered = BuchiAutomaton(
+            alphabet=a.alphabet,
+            states=a.states,
+            initial=a.initial,
+            transitions=dict(reversed(list(a.transitions.items()))),
+            accepting=a.accepting,
+            name="other",
+        )
+        hash(a)
+        copy = pickle.loads(pickle.dumps(a))
+        assert "_hash" not in vars(copy)
+        for twin in (reordered, copy, random_automaton(seed, n)):
+            assert twin == a
+            assert hash(twin) == hash(a)
+        assert pickle.dumps(a) == before
+        assert len({a, reordered, copy}) == 1
+        assert {a: seed}[copy] == seed
+        other = random_automaton(seed + 1, n)
+        assert (other in {a}) == (other == a)
+        changed = a.with_accepting(a.states - a.accepting)
+        assert changed != a and changed not in {a}

@@ -37,8 +37,7 @@ def test_round_trip_carries_fields_only(seed):
         assert "_dense_form" not in vars(copy), label
         assert copy == automaton, label
         assert copy.name == automaton.name, label
-        # the automaton itself is unhashable (its transition table is a
-        # dict), so hashing is compared on what does hash: the dense core
+        assert hash(copy) == hash(automaton), label
         rebuilt = copy.to_dense()
         assert rebuilt.core == form.core, label
         assert hash(rebuilt.core) == hash(form.core), label

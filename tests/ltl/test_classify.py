@@ -1,10 +1,22 @@
 """Tests for the LTL safety/liveness classifier — including the paper's
 §2.3 table (Rem's examples), which is the TAB1 experiment's ground truth."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.analysis import decompose
-from repro.buchi import are_equivalent, universal_automaton
+from repro.buchi import (
+    are_equivalent,
+    closure,
+    complement_safety,
+    intersection,
+    intersection_is_empty,
+    is_empty,
+    safety_is_universal,
+    universal_automaton,
+)
 from repro.ltl import (
     PropertyClass,
     classify,
@@ -13,7 +25,21 @@ from repro.ltl import (
     rem_examples,
     translate,
 )
+from repro.ltl.syntax import Not
 from repro.omega import all_lassos
+
+CLASSIFIED = [
+    ("G a", "ab"), ("a W b", "ab"), ("G (a -> X b)", "ab"), ("F a", "ab"),
+    ("GF a", "ab"), ("FG a", "ab"), ("G (a -> F b)", "ab"), ("a U b", "ab"),
+    ("a & F b", "ab"), ("true", "ab"), ("false", "ab"), ("G (r -> F g)", "rg"),
+    ("a U b", "abc"), ("a W b", "abc"),
+]
+FAMILY = [
+    (row["formula"], "ab")
+    for row in json.loads(
+        (Path(__file__).parent / "data" / "family_automata.json").read_text()
+    )["formulas"]
+]
 
 
 class TestRemTable:
@@ -81,6 +107,35 @@ class TestClassifier:
         a U b is no longer live; a^ω shows it is not safe either."""
         assert classify(parse("a U b"), "abc").kind == PropertyClass.NEITHER
         assert classify(parse("a W b"), "abc").kind == PropertyClass.SAFETY
+
+
+class TestDenseDecisions:
+    """classify() decides its two emptiness questions on dense cores;
+    each answer must be the one the built automata give."""
+
+    @pytest.mark.parametrize(
+        "cases", [CLASSIFIED, FAMILY], ids=["classifier", "family"]
+    )
+    def test_helpers_agree_with_built_automata(self, cases):
+        for text, alphabet in cases:
+            f = parse(text)
+            closed = closure(translate(f, alphabet))
+            negated = translate(Not(f), alphabet)
+            assert intersection_is_empty(closed, negated) == is_empty(
+                intersection(closed, negated)
+            ), text
+            assert safety_is_universal(closed) == is_empty(
+                complement_safety(closed)
+            ), text
+
+    def test_empty_closure_is_not_universal(self):
+        closed = closure(translate(parse("false"), "ab"))
+        assert is_empty(closed)
+        assert not safety_is_universal(closed)
+
+    def test_universality_needs_a_safety_automaton(self):
+        with pytest.raises(ValueError):
+            safety_is_universal(translate(parse("GF a"), "ab"))
 
 
 class TestFormulaDecomposition:
