@@ -32,7 +32,7 @@ def _cross_validate(n_automata: int, n_states: int) -> int:
 
 def test_closure_vs_semantic_lcl(benchmark):
     agreements = benchmark.pedantic(
-        _cross_validate, args=(10, 8), rounds=1, iterations=1
+        _cross_validate, args=(10, 8), rounds=5, iterations=1
     )
     emit(
         "SEC24b — cl(B) vs semantic lcl",
@@ -57,7 +57,7 @@ def _closure_cost_series(sizes):
 
 def test_closure_cost_scaling(benchmark):
     rows = benchmark.pedantic(
-        _closure_cost_series, args=([5, 10, 20, 40, 80],), rounds=1, iterations=1
+        _closure_cost_series, args=([5, 10, 20, 40, 80],), rounds=5, iterations=1
     )
     body = ["  n    sec/closure"]
     for n, t in rows:

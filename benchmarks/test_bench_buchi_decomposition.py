@@ -57,7 +57,7 @@ def _series(sizes, seeds_per_size=3):
 
 def test_decomposition_scaling(benchmark):
     rows = benchmark.pedantic(
-        _series, args=([2, 5, 10, 20, 40],), rounds=1, iterations=1
+        _series, args=([2, 5, 10, 20, 40],), rounds=5, iterations=1
     )
     body = ["  n   |B_S|   |B_L|   sec/instance"]
     for n, s, l, t in rows:
@@ -80,7 +80,7 @@ def _exact_small(n_instances=6):
 
 
 def test_decomposition_exact_small(benchmark):
-    n = benchmark.pedantic(_exact_small, rounds=1, iterations=1)
+    n = benchmark.pedantic(_exact_small, rounds=5, iterations=1)
     emit(
         "SEC24 — exact verification (small sizes)",
         f"{n} random automata: parts typed (safety/liveness) and identity "
@@ -123,7 +123,7 @@ def test_gumm_gap(benchmark):
         return strict, below_limit, proper, decomposable
 
     strict, below, proper, decomposable = benchmark.pedantic(
-        build_chain, rounds=1, iterations=1
+        build_chain, rounds=5, iterations=1
     )
     assert strict and below and proper and decomposable
     emit(

@@ -20,6 +20,7 @@ from .kernel import (
     post,
     product_core,
     reachable_mask,
+    reindexed,
     scc_masks,
     simulation_masks,
     subset_dfa,
@@ -34,6 +35,7 @@ __all__ = [
     "iter_bits",
     "post",
     "reachable_mask",
+    "reindexed",
     "adjacency",
     "scc_masks",
     "is_cyclic_scc",

@@ -99,28 +99,43 @@ class DenseForm:
     ``states[i]`` / ``symbols[a]`` are the original hashable values at
     dense index ``i`` / ``a`` (first-appearance BFS order for states,
     repr-sorted for symbols — the exact order ``renumbered()`` uses);
-    ``state_index`` / ``symbol_index`` invert them.  The reachable and
-    live masks are computed lazily and cached, so every algorithm that
-    needs them on the same automaton shares one computation.
+    ``state_index`` / ``symbol_index`` invert them (the state index is
+    built on first use).  The reachable and live masks are computed
+    lazily and cached, so every algorithm that needs them on the same
+    automaton shares one computation; a constructor that already knows
+    them passes them in.
     """
 
     __slots__ = (
-        "core", "states", "symbols", "state_index", "symbol_index",
+        "core", "states", "symbols", "symbol_index", "_state_index",
         "_reachable", "_live", "_cycle_wins", "_union_hint",
     )
 
-    def __init__(self, core: DenseBuchi, states: tuple, symbols: tuple):
+    def __init__(self, core: DenseBuchi, states: tuple, symbols: tuple,
+                 reachable: int | None = None, live: int | None = None):
         self.core = core
         self.states = states
         self.symbols = symbols
-        self.state_index = {s: i for i, s in enumerate(states)}
         self.symbol_index = {a: i for i, a in enumerate(symbols)}
-        self._reachable = None
-        self._live = None
+        self._state_index = None
+        # a constructor that knows the masks already may seed them
+        self._reachable = reachable
+        self._live = live
         self._cycle_wins: dict = {}
         # set by repro.buchi.operations.union: (left form, right form,
         # left index map, right index map) — see union_cycle_hint()
         self._union_hint = None
+
+    @property
+    def state_index(self) -> dict:
+        """``{state: index}``, built on first use: most forms are only
+        ever walked by index."""
+        index = self._state_index
+        if index is None:
+            index = self._state_index = {
+                s: i for i, s in enumerate(self.states)
+            }
+        return index
 
     def reachable(self) -> int:
         """Bitmask of states reachable from the initial state (cached)."""
@@ -239,23 +254,26 @@ class DenseForm:
             mask ^= low
         return frozenset(out)
 
-    def restricted_transitions(self, keep: int) -> dict:
-        """The hashable-state transition dict of the sub-automaton on
-        ``keep`` — entries only where source and some target survive
-        (exactly what ``BuchiAutomaton.restricted_to`` keeps)."""
-        from .kernel import iter_bits
+    def restricted(self, keep: int, accepting: int) -> "DenseForm":
+        """The sub-automaton on ``keep``, a set of states that are all
+        reachable and live, with accepting set ``accepting & keep``.
 
-        states, symbols, succ = self.states, self.symbols, self.core.succ
-        out: dict = {}
-        for a, symbol in enumerate(symbols):
-            row = succ[a]
-            for q in iter_bits(keep):
-                targets = row[q] & keep
-                if targets:
-                    out[states[q], symbol] = frozenset(
-                        states[r] for r in iter_bits(targets)
-                    )
-        return out
+        Kept states keep their relative order.  No state outside the live
+        set reaches one inside it, so each kept state is first found, in
+        the state-interner BFS that numbered this form, from a kept state:
+        the filtered order is the one that BFS gives the sub-automaton,
+        and the result is the form its ``to_dense()`` would build.  All of
+        its states are reachable and live, so both masks come seeded."""
+        from .kernel import iter_bits, reindexed
+
+        order = list(iter_bits(keep))
+        core = reindexed(self.core, order, accepting)
+        full = core.full_mask()
+        states = self.states
+        return DenseForm(
+            core, tuple([states[q] for q in order]), self.symbols,
+            reachable=full, live=full,
+        )
 
     def __repr__(self) -> str:
         return (

@@ -172,23 +172,21 @@ def subset_dfa(
 
     The empty subset — the dead state recognizing bad prefixes — is
     always a DFA state (reached naturally or appended), with self-loops
-    on every symbol.  DFA state 0 is the initial subset.
+    on every symbol.  DFA states are numbered breadth-first from the
+    initial subset (state 0), symbols by index, and an unreached dead
+    state comes last: the order the state interner gives a deterministic
+    automaton, so a complement built on the DFA keeps its numbering.
     """
-    k = core.n_symbols
     succ = core.succ
     init = (1 << core.initial) if initial is None else initial
     if restrict is not None:
         init &= restrict
     subsets = [init]
     index = {init: 0}
-    rows: dict[int, tuple] = {}
-    todo = [0]
-    while todo:
-        s = todo.pop()
-        mask = subsets[s]
+    rows = []
+    for mask in subsets:  # grows while iterated: a FIFO queue
         row = []
-        for a in range(k):
-            table = succ[a]
+        for table in succ:
             target = 0
             m = mask
             while m:
@@ -202,19 +200,17 @@ def subset_dfa(
                 t = len(subsets)
                 index[target] = t
                 subsets.append(target)
-                todo.append(t)
             row.append(t)
-        rows[s] = tuple(row)
+        rows.append(tuple(row))
     dead = index.get(0)
     if dead is None:
         dead = len(subsets)
-        index[0] = dead
         subsets.append(0)
-        rows[dead] = (dead,) * k
+        rows.append((dead,) * core.n_symbols)
     return DenseDfa(
-        n_symbols=k,
+        n_symbols=core.n_symbols,
         subsets=tuple(subsets),
-        trans=tuple(rows[s] for s in range(len(subsets))),
+        trans=tuple(rows),
         initial=0,
         dead=dead,
     )
@@ -302,6 +298,43 @@ def union_core(a: DenseBuchi, b: DenseBuchi) -> DenseBuchi:
         initial=0,
         succ=tuple(succ_out),
         accepting=(a.accepting << shift_a) | (b.accepting << shift_b),
+    )
+
+
+def reindexed(
+    core: DenseBuchi, order, accepting: int | None = None
+) -> DenseBuchi:
+    """The sub-core on the states ``order`` lists, state ``order[i]``
+    renumbered ``i``: a permutation when ``order`` lists every state, a
+    restriction (masks keep listed states only) otherwise.  ``order``
+    must hold the initial state; ``accepting`` (in ``core``'s numbering)
+    replaces ``core.accepting``."""
+    bit = [0] * core.n_states
+    for i, q in enumerate(order):
+        bit[q] = 1 << i
+
+    def moved(masks) -> tuple:
+        out = []
+        for mask in masks:
+            if not mask & (mask - 1):  # no state or one: the common case
+                out.append(bit[mask.bit_length() - 1] if mask else 0)
+                continue
+            new = 0
+            while mask:
+                low = mask & -mask
+                new |= bit[low.bit_length() - 1]
+                mask ^= low
+            out.append(new)
+        return tuple(out)
+
+    return DenseBuchi(
+        n_states=len(order),
+        n_symbols=core.n_symbols,
+        initial=bit[core.initial].bit_length() - 1,
+        succ=tuple(moved([row[q] for q in order]) for row in core.succ),
+        accepting=moved(
+            [core.accepting if accepting is None else accepting]
+        )[0],
     )
 
 

@@ -7,6 +7,16 @@ often; ``L(B)`` is the set of words with an accepting run.
 States may be any hashable objects (construction algorithms produce
 tuples/frozensets); :meth:`BuchiAutomaton.renumbered` maps them to small
 integers for readable output and faster hashing downstream.
+
+Two ways in.  Outside input goes through the public constructor (or
+:meth:`BuchiAutomaton.build`), which validates every field.  Kernel
+output — closure, trim, the safety complement, union — is built by
+:meth:`BuchiAutomaton._from_kernel` from a finished dense form, without
+re-validation or re-interning: such an automaton carries its dense form
+from birth, and its ``transitions`` is a read-only mapping whose dict is
+built on first read (most kernel outputs are only ever run on the dense
+core).  Equality, hashing and pickles read the same content either way;
+a pickle carries a plain dict.
 """
 
 from __future__ import annotations
@@ -30,6 +40,62 @@ State = Hashable
 
 class AutomatonError(ValueError):
     """Raised when automaton data is malformed."""
+
+
+class _LazyTransitions(Mapping):
+    """A read-only transition mapping whose dict is built on first read.
+
+    ``build`` is a zero-argument function returning the dict; it runs
+    at most once per completed read and is dropped after, so the view
+    stops holding what it was built from.  Two threads racing on the
+    first read may both build, harmlessly: the builders are pure, and
+    the dict is published before the builder is cleared, so a reader
+    that finds neither a dict nor a builder finds the dict on re-read.
+    Compares equal to a dict with the same items, in both directions.
+    """
+
+    __slots__ = ("_build", "_dict")
+
+    def __init__(self, build):
+        self._build = build
+        self._dict = None
+
+    def _data(self) -> dict:
+        data = self._dict
+        if data is None:
+            build = self._build
+            if build is None:
+                return self._dict
+            data = build()
+            self._dict = data
+            self._build = None
+        return data
+
+    def __getitem__(self, key):
+        return self._data()[key]
+
+    def __iter__(self):
+        return iter(self._data())
+
+    def __len__(self) -> int:
+        return len(self._data())
+
+    def get(self, key, default=None):
+        return self._data().get(key, default)
+
+    def values(self):
+        return self._data().values()
+
+    def items(self):
+        return self._data().items()
+
+    def __eq__(self, other):
+        if isinstance(other, _LazyTransitions):
+            other = other._data()
+        return self._data() == other
+
+    def __repr__(self) -> str:
+        return repr(self._data())
 
 
 @dataclass(frozen=True)
@@ -98,6 +164,51 @@ class BuchiAutomaton:
             accepting=frozenset(accepting),
             name=name,
         )
+
+    @classmethod
+    def _from_kernel(
+        cls, form: DenseForm, name: str, alphabet: frozenset, transitions=None
+    ) -> "BuchiAutomaton":
+        """The kernel-output constructor: the automaton ``form`` denotes
+        under its state names, with ``form`` as its dense form.
+
+        ``form`` must be numbered in :meth:`_state_interner` order, so the
+        ``to_dense``/``renumbered`` correspondence holds, and
+        ``alphabet`` must be the set of its symbols.  Nothing is
+        validated: the kernel produced it.  ``transitions`` is a
+        zero-argument builder of the transition dict, run on first read;
+        by default the dict holds one entry per non-empty successor mask
+        of the core."""
+        core = form.core
+        names = form.states
+        states = frozenset(names)
+        self = object.__new__(cls)
+        self.__dict__.update(
+            alphabet=alphabet,
+            states=states,
+            initial=names[core.initial],
+            transitions=_LazyTransitions(
+                transitions or (lambda: _dense_transitions(form))
+            ),
+            accepting=(
+                states if core.accepting == core.full_mask()
+                else form.unintern_mask(core.accepting)
+            ),
+            name=name,
+            _dense_form=form,
+        )
+        return self
+
+    def _renamed(self, name: str) -> "BuchiAutomaton":
+        """This automaton under another ``name``, sharing every field and
+        the dense form (the form carries no name)."""
+        twin = object.__new__(BuchiAutomaton)
+        twin.__dict__.update(
+            {field_name: self.__dict__[field_name] for field_name in _FIELDS},
+            name=name,
+            _dense_form=self.to_dense(),
+        )
+        return twin
 
     # -- basic queries ----------------------------------------------------------
 
@@ -373,23 +484,17 @@ class BuchiAutomaton:
         object.__setattr__(self, "_dense_form", form)
         return form
 
-    def _seed_dense(self, form: DenseForm) -> None:
-        """Pre-populate the :meth:`to_dense` cache.
-
-        Constructor fast path: a caller that already holds the dense
-        core it built the automaton from can hand it over instead of
-        having ``to_dense`` re-derive it — but only when the form's
-        numbering is exactly the :meth:`_state_interner` order, so the
-        documented ``to_dense``/``renumbered`` correspondence still
-        holds for the seeded instance."""
-        object.__setattr__(self, "_dense_form", form)
-
     def __getstate__(self) -> dict:
         """Pickle the dataclass fields only, never a memo (the dense
         form, the inclusion and complement caches): a pickle is then a
         function of the automaton's value, whatever has been computed on
-        it, and carries no derived data the receiver can rebuild."""
-        return {name: self.__dict__[name] for name in _FIELDS}
+        it, and carries no derived data the receiver can rebuild.  A
+        lazy ``transitions`` travels as its plain dict."""
+        state = {name: self.__dict__[name] for name in _FIELDS}
+        transitions = state["transitions"]
+        if isinstance(transitions, _LazyTransitions):
+            state["transitions"] = transitions._data()
+        return state
 
     def renumbered(self, name: str | None = None) -> "BuchiAutomaton":
         """An isomorphic copy with states ``0..n-1`` (BFS order from the
@@ -433,21 +538,73 @@ def from_dense(form: DenseForm, name: str = "B") -> BuchiAutomaton:
     automaton without them.
     """
     core = form.core
-    transitions: dict = {}
-    for a, symbol in enumerate(form.symbols):
-        row = core.succ[a]
-        for q in range(core.n_states):
-            mask = row[q]
-            if mask:
-                transitions[q, symbol] = frozenset(iter_bits(mask))
+    n = core.n_states
     return BuchiAutomaton(
         alphabet=frozenset(form.symbols),
-        states=frozenset(range(core.n_states)),
+        states=frozenset(range(n)),
         initial=core.initial,
-        transitions=transitions,
+        transitions=_dense_transitions(form, range(n)),
         accepting=frozenset(iter_bits(core.accepting)),
         name=name,
     )
+
+
+def _dense_transitions(form: DenseForm, names=None, by_state=False) -> dict:
+    """The transition dict ``form``'s core denotes under ``names``
+    (default: the form's own): one entry per non-empty successor mask,
+    symbols outer and states inner (``by_state``: states outer), equal
+    masks sharing one target frozenset."""
+    core = form.core
+    names = form.states if names is None else names
+    symbols = form.symbols
+    succ = core.succ
+    states = range(core.n_states)
+    cells = (
+        ((q, a) for q in states for a in range(core.n_symbols)) if by_state
+        else ((q, a) for a in range(core.n_symbols) for q in states)
+    )
+    shared: dict = {}
+    out: dict = {}
+    for q, a in cells:
+        mask = succ[a][q]
+        if mask:
+            targets = shared.get(mask)
+            if targets is None:
+                targets = shared[mask] = frozenset(
+                    [names[r] for r in iter_bits(mask)]
+                )
+            out[names[q], symbols[a]] = targets
+    return out
+
+
+def _interner_order(core, names) -> list:
+    """The indices of ``core`` in the order
+    :meth:`BuchiAutomaton._state_interner` gives the automaton the core
+    denotes under ``names``, found on the core instead of the transition
+    dict: BFS from the initial state with symbols by
+    index (a dense form's repr order), the new targets of one
+    ``(state, symbol)`` by the repr of their names, then the states not
+    reached by the repr of their names."""
+    def by_repr(mask: int) -> list:
+        return sorted(iter_bits(mask), key=lambda r: repr(names[r]))
+
+    succ = core.succ
+    seen = 1 << core.initial
+    order = [core.initial]
+    for q in order:
+        for row in succ:
+            fresh = row[q] & ~seen
+            if not fresh:
+                continue
+            seen |= fresh
+            if fresh & (fresh - 1):
+                order.extend(by_repr(fresh))
+            else:
+                order.append(fresh.bit_length() - 1)
+    rest = core.full_mask() & ~seen
+    if rest:
+        order.extend(by_repr(rest))
+    return order
 
 
 # -- shared graph helpers (hashable-graph callers: ctl, systems, generalized) ---

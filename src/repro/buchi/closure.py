@@ -9,8 +9,8 @@ language is the lcl of the language of B."*
 This module implements that operator, the exact semantic ``lcl``
 membership test it is validated against, and the derived safety/liveness
 tests on automata.  All of it runs on the dense kernel
-(:mod:`repro.automata`): intern once, compute reachable/live bitmasks,
-unintern the surviving states.
+(:mod:`repro.automata`): the closure is the input's dense core
+restricted to its reachable, live states, with every state accepting.
 """
 
 from __future__ import annotations
@@ -34,14 +34,8 @@ def closure(automaton: BuchiAutomaton) -> BuchiAutomaton:
     keep = form.reachable() & form.live()
     if not keep & (1 << form.core.initial):
         return empty_automaton(automaton.alphabet, name=f"cl({automaton.name})")
-    states = form.unintern_mask(keep)
-    return BuchiAutomaton(
-        alphabet=automaton.alphabet,
-        states=states,
-        initial=automaton.initial,
-        transitions=form.restricted_transitions(keep),
-        accepting=states,
-        name=automaton.name,
+    return BuchiAutomaton._from_kernel(
+        form.restricted(keep, keep), automaton.name, automaton.alphabet
     )
 
 

@@ -26,7 +26,7 @@ from repro.automata.kernel import iter_bits, subset_dfa
 from repro.obs.metrics import REGISTRY
 from repro.obs.profile import PhaseTimer
 
-from .automaton import BuchiAutomaton
+from .automaton import BuchiAutomaton, _dense_transitions
 from .emptiness import trim, universal_automaton
 
 #: Wall time per complementation phase — the dispatcher's trim/emptiness/
@@ -50,10 +50,9 @@ def complement_safety(automaton: BuchiAutomaton) -> BuchiAutomaton:
     run eventually dies", recognized by the subset automaton with an
     accepting sink for the empty set.
     """
-    if automaton.accepting != automaton.states:
-        from .emptiness import is_empty
-
-        if is_empty(automaton):
+    form = automaton.to_dense()
+    if form.core.accepting != form.core.full_mask():
+        if not form.live() & (1 << form.core.initial):
             # e.g. the canonical ∅ automaton produced by closure/trim
             return universal_automaton(automaton.alphabet, name=f"¬{automaton.name}")
         raise ValueError(
@@ -62,64 +61,28 @@ def complement_safety(automaton: BuchiAutomaton) -> BuchiAutomaton:
         )
     _CONSTRUCTIONS.labels(kind="subset").add()
     with _PHASES.phase("subset"):
-        form = automaton.to_dense()
+        # The DFA's breadth-first numbering is the result's state-interner
+        # order, so its transition table is the result's core as it is.
         dfa = subset_dfa(form.core)
-        n = len(dfa.subsets)
-        # Renumber the DFA into the result automaton's own state-interner
-        # order (BFS, symbols in repr order, the one possibly-unreachable
-        # state — the dead sink — last), so the dense core assembled here
-        # can seed the result's to_dense cache without being re-derived.
-        order = [dfa.initial]
-        new_index = {dfa.initial: 0}
-        i = 0
-        while i < len(order):
-            for t in dfa.trans[order[i]]:
-                if t not in new_index:
-                    new_index[t] = len(order)
-                    order.append(t)
-            i += 1
-        if len(order) < n:
-            new_index[dfa.dead] = len(order)
-            order.append(dfa.dead)
-        names = form.states
-        masks = dfa.subsets
-        decoded = []
-        for s in order:
-            mask = masks[s]
-            members = []
-            while mask:
-                low = mask & -mask
-                members.append(names[low.bit_length() - 1])
-                mask ^= low
-            decoded.append(frozenset(members))
-        subset_states = tuple(decoded)
-        singletons = tuple(frozenset({q}) for q in subset_states)
+        decoded = tuple([form.unintern_mask(mask) for mask in dfa.subsets])
         symbols = form.symbols
-        transitions: dict = {}
-        core_rows = [[0] * n for _ in symbols]
-        for i, s in enumerate(order):
-            source = subset_states[i]
-            for a, t in enumerate(dfa.trans[s]):
-                j = new_index[t]
-                transitions[source, symbols[a]] = singletons[j]
-                core_rows[a][i] = 1 << j
         core = DenseBuchi(
-            n_states=n,
+            n_states=len(decoded),
             n_symbols=len(symbols),
             initial=0,
-            succ=tuple(tuple(row) for row in core_rows),
-            accepting=1 << new_index[dfa.dead],
+            succ=tuple(
+                tuple([1 << row[a] for row in dfa.trans])
+                for a in range(len(symbols))
+            ),
+            accepting=1 << dfa.dead,
         )
-        result = BuchiAutomaton(
-            alphabet=automaton.alphabet,
-            states=frozenset(subset_states),
-            initial=subset_states[0],
-            transitions=transitions,
-            accepting=frozenset({frozenset()}),
-            name=f"¬{automaton.name}",
+        result_form = DenseForm(core, decoded, symbols)
+        return BuchiAutomaton._from_kernel(
+            result_form,
+            f"¬{automaton.name}",
+            automaton.alphabet,
+            lambda: _dense_transitions(result_form, by_state=True),
         )
-        result._seed_dense(DenseForm(core, subset_states, symbols))
-        return result
 
 
 def safety_is_universal(automaton: BuchiAutomaton) -> bool:

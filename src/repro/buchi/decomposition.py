@@ -11,10 +11,12 @@ exactly the proof term:
 
 with ``¬cl(B)`` computed by the cheap safety-automaton complement.
 
-All three phases run on the dense kernel (:mod:`repro.automata`)
-transitively: closure and complement intern the input once and share its
-cached reachable/live masks, and the union is assembled from the dense
-disjoint-sum core.
+All three phases run on the dense kernel (:mod:`repro.automata`): the
+closure restricts the input's dense core, the complement takes the
+closure's subset DFA as its core, and the union permutes the
+disjoint-sum core into its interner order.  Each part is built once,
+from its finished dense form, with its transition dict left to be built
+on first read.
 """
 
 from __future__ import annotations
@@ -134,28 +136,12 @@ def _decompose(automaton: BuchiAutomaton) -> BuchiDecomposition:
     with _PHASES.phase("complement"):
         negated_closure = complement_safety(safety)
     with _PHASES.phase("union"):
-        liveness = union(automaton, negated_closure)
-    renamed_liveness = BuchiAutomaton(
-        alphabet=liveness.alphabet,
-        states=liveness.states,
-        initial=liveness.initial,
-        transitions=dict(liveness.transitions),
-        accepting=liveness.accepting,
-        name=f"{automaton.name}_L",
-    )
-    renamed_safety = BuchiAutomaton(
-        alphabet=safety.alphabet,
-        states=safety.states,
-        initial=safety.initial,
-        transitions=dict(safety.transitions),
-        accepting=safety.accepting,
-        name=f"{automaton.name}_S",
-    )
-    # the renames are structurally identical (the dense form carries no
-    # name), so the phases' cached dense analyses stay valid — hand them
-    # over instead of letting accepts() re-derive them
-    renamed_liveness._seed_dense(liveness.to_dense())
-    renamed_safety._seed_dense(safety.to_dense())
-    liveness, safety = renamed_liveness, renamed_safety
+        liveness = union(
+            automaton, negated_closure, name=f"{automaton.name}_L"
+        )
     _DECOMPOSITIONS.add()
-    return BuchiDecomposition(original=automaton, safety=safety, liveness=liveness)
+    return BuchiDecomposition(
+        original=automaton,
+        safety=safety._renamed(f"{automaton.name}_S"),
+        liveness=liveness,
+    )

@@ -69,14 +69,10 @@ def trim(automaton: BuchiAutomaton) -> BuchiAutomaton:
         return empty_automaton(automaton.alphabet, name=automaton.name)
     if keep == form.core.full_mask() and all(automaton.transitions.values()):
         return automaton
-    states = form.unintern_mask(keep)
-    return BuchiAutomaton(
-        alphabet=automaton.alphabet,
-        states=states,
-        initial=automaton.initial,
-        transitions=form.restricted_transitions(keep),
-        accepting=automaton.accepting & states,
-        name=automaton.name,
+    return BuchiAutomaton._from_kernel(
+        form.restricted(keep, form.core.accepting),
+        automaton.name,
+        automaton.alphabet,
     )
 
 

@@ -10,17 +10,20 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 
+from repro.automata.dense import DenseForm
 from repro.automata.kernel import (
     adjacency,
     is_cyclic_scc,
     iter_bits,
     product_core,
     reachable_mask,
+    reindexed,
     scc_masks,
+    union_core,
 )
 from repro.omega.word import LassoWord, Symbol
 
-from .automaton import AutomatonError, BuchiAutomaton, State
+from .automaton import AutomatonError, BuchiAutomaton, State, _interner_order
 
 
 def _check_alphabets(a: BuchiAutomaton, b: BuchiAutomaton) -> None:
@@ -36,51 +39,58 @@ def union(a: BuchiAutomaton, b: BuchiAutomaton, name: str | None = None) -> Buch
     transitions simulate both original initial states."""
     _check_alphabets(a, b)
     form_a, form_b = a.to_dense(), b.to_dense()
-    # Disjoint tagged copies of both inputs (transitions carried over
-    # verbatim, empty-target entries included), plus the fresh initial
-    # state simulating both original initial states.
+    # The fresh initial state has no incoming edges, so its acceptance
+    # flag never affects an infinite run: union_core leaves it
+    # non-accepting.  Blocks: fresh state, a's states, b's states.
+    blocks = union_core(form_a.core, form_b.core)
     names = (
-        [("∪", None)]
-        + [("l", q) for q in form_a.states]
-        + [("r", q) for q in form_b.states]
+        (("∪", None),)
+        + tuple([("l", q) for q in form_a.states])
+        + tuple([("r", q) for q in form_b.states])
     )
-    transitions: dict = {}
-    for tag, m in (("l", a), ("r", b)):
-        for (q, sym), targets in m.transitions.items():
-            transitions[(tag, q), sym] = frozenset((tag, r) for r in targets)
-    for sym in a.alphabet:
-        merged = [
-            (tag, r)
-            for tag, m in (("l", a), ("r", b))
-            for r in m.transitions.get((m.initial, sym), ())
-        ]
-        if merged:
-            transitions[("∪", None), sym] = frozenset(merged)
-    # The fresh initial state must be accepting iff either original initial
-    # state could begin an accepting run that revisits it — but since the
-    # fresh state has no incoming edges, its acceptance flag never affects
-    # any infinite run; leave it non-accepting.
-    result = BuchiAutomaton(
-        alphabet=a.alphabet,
-        states=frozenset(names),
-        initial=("∪", None),
-        transitions=transitions,
-        accepting=frozenset(
-            [("l", q) for q in a.accepting] + [("r", q) for q in b.accepting]
-        ),
-        name=name or f"({a.name} ∪ {b.name})",
+    order = _interner_order(blocks, names)
+    position = [0] * len(order)
+    for i, q in enumerate(order):
+        position[q] = i
+    form = DenseForm(
+        reindexed(blocks, order),
+        tuple([names[q] for q in order]),
+        form_a.symbols,
     )
-    # the union's blocks are successor-closed copies of the inputs, so
-    # lasso membership can reuse the inputs' memoized cycle analyses
-    form = result.to_dense()
-    parent_index = form.state_index
+    # the blocks are successor-closed copies of the inputs, so lasso
+    # membership can reuse the inputs' memoized cycle analyses
+    n_a = form_a.core.n_states
     form.union_cycle_hint(
         form_a,
         form_b,
-        tuple(parent_index["l", s] for s in form_a.states),
-        tuple(parent_index["r", s] for s in form_b.states),
+        tuple(position[1:1 + n_a]),
+        tuple(position[1 + n_a:]),
     )
-    return result
+
+    def transitions() -> dict:
+        # the inputs' own entries, explicit empty ones included, which a
+        # dense core cannot represent; then the fresh initial state's
+        out: dict = {}
+        sides = [
+            (m, dict(zip(m_form.states, names[offset:])))
+            for offset, m, m_form in ((1, a, form_a), (1 + n_a, b, form_b))
+        ]
+        for m, tag in sides:
+            for (q, sym), targets in m.transitions.items():
+                out[tag[q], sym] = frozenset([tag[r] for r in targets])
+        for sym in a.alphabet:
+            merged = [
+                tag[r]
+                for m, tag in sides
+                for r in m.transitions.get((m.initial, sym), ())
+            ]
+            if merged:
+                out[names[0], sym] = frozenset(merged)
+        return out
+
+    return BuchiAutomaton._from_kernel(
+        form, name or f"({a.name} ∪ {b.name})", a.alphabet, transitions
+    )
 
 
 def intersection(
