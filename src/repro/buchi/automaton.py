@@ -52,13 +52,18 @@ class _LazyTransitions(Mapping):
     the dict is published before the builder is cleared, so a reader
     that finds neither a dict nor a builder finds the dict on re-read.
     Compares equal to a dict with the same items, in both directions.
+    ``dense`` marks the default builder, whose dict holds one entry per
+    non-empty successor mask of the dense core — so no explicit empty
+    entry — which :func:`~repro.buchi.emptiness.trim` reads without
+    building the dict.
     """
 
-    __slots__ = ("_build", "_dict")
+    __slots__ = ("_build", "_dict", "dense")
 
-    def __init__(self, build):
+    def __init__(self, build, dense: bool = False):
         self._build = build
         self._dict = None
+        self.dense = dense
 
     def _data(self) -> dict:
         data = self._dict
@@ -167,7 +172,8 @@ class BuchiAutomaton:
 
     @classmethod
     def _from_kernel(
-        cls, form: DenseForm, name: str, alphabet: frozenset, transitions=None
+        cls, form: DenseForm, name: str, alphabet: frozenset, transitions=None,
+        accepting: frozenset | None = None,
     ) -> "BuchiAutomaton":
         """The kernel-output constructor: the automaton ``form`` denotes
         under its state names, with ``form`` as its dense form.
@@ -178,7 +184,8 @@ class BuchiAutomaton:
         validated: the kernel produced it.  ``transitions`` is a
         zero-argument builder of the transition dict, run on first read;
         by default the dict holds one entry per non-empty successor mask
-        of the core."""
+        of the core.  ``accepting`` is the accepting-state set when the
+        caller holds it; by default it is read off the core."""
         core = form.core
         names = form.states
         states = frozenset(names)
@@ -187,11 +194,13 @@ class BuchiAutomaton:
             alphabet=alphabet,
             states=states,
             initial=names[core.initial],
-            transitions=_LazyTransitions(
-                transitions or (lambda: _dense_transitions(form))
+            transitions=(
+                _LazyTransitions(lambda: _dense_transitions(form), dense=True)
+                if transitions is None else _LazyTransitions(transitions)
             ),
             accepting=(
-                states if core.accepting == core.full_mask()
+                accepting if accepting is not None
+                else states if core.accepting == core.full_mask()
                 else form.unintern_mask(core.accepting)
             ),
             name=name,
@@ -357,7 +366,17 @@ class BuchiAutomaton:
         labeling of :func:`repro.canonical.canonical_digraph_key` —
         the key hashes the *full* renumbered transition relation, so
         equal keys imply isomorphism, which is what makes it safe as a
-        memoization key in :mod:`repro.service` (DESIGN.md §8)."""
+        memoization key in :mod:`repro.service` (DESIGN.md §8).
+        Memoized on the instance beside the dense form, so it never rides
+        in a pickle (:meth:`__getstate__`); a declined key
+        (:class:`~repro.canonical.CanonicalizationError`) is not."""
+        key = self.__dict__.get("_canonical_key")
+        if key is None:
+            key = self._structural_key()
+            object.__setattr__(self, "_canonical_key", key)
+        return key
+
+    def _structural_key(self) -> str:
         from repro.canonical import canonical_digraph_key, stable_token
 
         form = self.to_dense()
@@ -486,10 +505,10 @@ class BuchiAutomaton:
 
     def __getstate__(self) -> dict:
         """Pickle the dataclass fields only, never a memo (the dense
-        form, the inclusion and complement caches): a pickle is then a
-        function of the automaton's value, whatever has been computed on
-        it, and carries no derived data the receiver can rebuild.  A
-        lazy ``transitions`` travels as its plain dict."""
+        form, the canonical key, the inclusion and complement caches): a
+        pickle is then a function of the automaton's value, whatever has
+        been computed on it, and carries no derived data the receiver
+        can rebuild.  A lazy ``transitions`` travels as its plain dict."""
         state = {name: self.__dict__[name] for name in _FIELDS}
         transitions = state["transitions"]
         if isinstance(transitions, _LazyTransitions):

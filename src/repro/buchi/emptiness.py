@@ -10,9 +10,10 @@ against the semantic (lasso-membership) layer.
 
 from __future__ import annotations
 
+from repro.automata.dense import DenseBuchi, DenseForm
 from repro.omega.word import LassoWord
 
-from .automaton import BuchiAutomaton, State
+from .automaton import AutomatonError, BuchiAutomaton, State, _LazyTransitions
 
 
 def live_states(automaton: BuchiAutomaton) -> frozenset:
@@ -67,7 +68,12 @@ def trim(automaton: BuchiAutomaton) -> BuchiAutomaton:
     keep = form.reachable() & form.live()
     if not keep & (1 << form.core.initial):
         return empty_automaton(automaton.alphabet, name=automaton.name)
-    if keep == form.core.full_mask() and all(automaton.transitions.values()):
+    transitions = automaton.transitions
+    if keep == form.core.full_mask() and (
+            # a dense-built mapping has no explicit empty entry: its dict
+            # need not be built to know
+            (isinstance(transitions, _LazyTransitions) and transitions.dense)
+            or all(transitions.values())):
         return automaton
     return BuchiAutomaton._from_kernel(
         form.restricted(keep, form.core.accepting),
@@ -77,26 +83,46 @@ def trim(automaton: BuchiAutomaton) -> BuchiAutomaton:
 
 
 def empty_automaton(alphabet, name: str = "∅") -> BuchiAutomaton:
-    """A canonical automaton with ``L = ∅``."""
-    return BuchiAutomaton.build(
-        alphabet=alphabet,
-        states=["dead"],
-        initial="dead",
-        transitions={},
-        accepting=[],
-        name=name,
-    )
+    """A canonical automaton with ``L = ∅``: one non-accepting state
+    ``"dead"`` without transitions."""
+    return _one_state(alphabet, "dead", False, name)
 
 
 def universal_automaton(alphabet, name: str = "Σ^ω") -> BuchiAutomaton:
-    """A canonical automaton with ``L = Σ^ω``."""
-    return BuchiAutomaton.build(
-        alphabet=alphabet,
-        states=["⊤"],
-        initial="⊤",
-        transitions={("⊤", a): ["⊤"] for a in alphabet},
-        accepting=["⊤"],
-        name=name,
+    """A canonical automaton with ``L = Σ^ω``: one accepting state
+    ``"⊤"`` looping on every symbol."""
+    return _one_state(alphabet, "⊤", True, name)
+
+
+def _one_state(alphabet, state: str, loop: bool, name: str) -> BuchiAutomaton:
+    """The one-state automaton over ``alphabet`` whose state accepts and
+    loops on every symbol when ``loop``, and has no transition otherwise.
+
+    Built from its dense core, with nothing validated or interned but
+    the alphabet's non-emptiness: the empty-closure path builds one per
+    subject.  The result equals, hashes like and pickles byte for byte as
+    the ``BuchiAutomaton.build`` spelling, whose transition order is the
+    argument's iteration order and whose ``accepting`` is a set of its
+    own."""
+    order = tuple(alphabet)
+    symbols = frozenset(
+        alphabet if isinstance(alphabet, (set, frozenset)) else order
+    )
+    if not symbols:
+        raise AutomatonError("alphabet must be non-empty")
+    bit = int(loop)
+    form = DenseForm(
+        DenseBuchi(n_states=1, n_symbols=len(symbols), initial=0,
+                   succ=((bit,),) * len(symbols), accepting=bit),
+        (state,),
+        tuple(sorted(symbols, key=repr)),
+    )
+    if not loop:
+        return BuchiAutomaton._from_kernel(form, name, symbols, dict)
+    return BuchiAutomaton._from_kernel(
+        form, name, symbols,
+        lambda: {(state, a): frozenset((state,)) for a in order},
+        accepting=frozenset((state,)),
     )
 
 

@@ -69,7 +69,17 @@ class Formula:
 
         Formulas have no states to rename, so the key is a digest of the
         AST itself; :class:`Letter` sets are serialized sorted so symbol
-        insertion order never matters."""
+        insertion order never matters.  Memoized on the instance with
+        ``object.__setattr__``: ``==`` and ``hash`` read the dataclass
+        fields only, and :meth:`__getstate__` leaves the memo out of
+        pickles."""
+        key = self.__dict__.get("_canonical_key")
+        if key is None:
+            key = self._structural_key()
+            object.__setattr__(self, "_canonical_key", key)
+        return key
+
+    def _structural_key(self) -> str:
         from repro.canonical import digest, stable_token
 
         def token(f: "Formula") -> str:
@@ -85,6 +95,15 @@ class Formula:
             return name + "(" + ",".join(token(c) for c in children) + ")"
 
         return "ltl:" + digest(token(self))
+
+    def __getstate__(self):
+        """Pickle the fields only, never the key memo, so a formula's
+        pickle is a function of its value."""
+        state = self.__dict__
+        if "_canonical_key" in state:
+            state = {name: value for name, value in state.items()
+                     if name != "_canonical_key"}
+        return state or None
 
 
 @dataclass(frozen=True)

@@ -109,59 +109,54 @@ def _subject_key(request: Request) -> str | None:
     return None
 
 
-def cache_key(request: Request) -> str | None:
-    """The full cache key: request kind + subject/context hash.
+def request_keys(request: Request) -> tuple[str | None, str | None]:
+    """The request's cache key and its placement key, from one subject
+    key.
 
-    Requests carrying unhashable extras (Rabin sample trees, check
-    witnesses) are uncacheable — their answers depend on data we do not
-    canonicalize."""
+    The cache key is request kind + subject/context hash.  Requests
+    carrying unhashable extras (Rabin sample trees, check witnesses) are
+    uncacheable — their answers depend on data we do not canonicalize.
+
+    The placement key is what the sharded tier's consistent hashing
+    spreads across shards.  For most requests it is the cache key
+    (answers live on the shard that caches them).  Monitor requests are
+    placed by *policy* — the formula + alphabet, ignoring trace and
+    horizon — so every trace monitored against one policy lands on the
+    shard whose compile cache already holds its tables, instead of
+    scattering one policy's monitor across the fleet."""
     if isinstance(request, ClassifyRequest) and request.samples:
-        return None
+        return None, None
     if isinstance(request, CheckRequest) and request.witness is not None:
-        return None
+        return None, None
     try:
         subject_key = _subject_key(request)
     except CanonicalizationError:
-        return None
+        return None, None
     if subject_key is None:
-        return None
+        return None, None
     kind = request.kind
     if isinstance(request, MonitorRequest):
         # The answer depends on the trace and the horizon too; the
         # compiled monitor itself is shared across both (the rv compile
         # cache keys on formula + alphabet only).
+        placement = f"{kind}:{subject_key}"
         try:
             trace_token = stable_token(tuple(request.events))
         except CanonicalizationError:
-            return None
+            return None, placement
         horizon = "none" if request.horizon is None else str(request.horizon)
-        return f"{kind}:{subject_key}@h={horizon}@{digest(trace_token)}"
+        return f"{placement}@h={horizon}@{digest(trace_token)}", placement
     if getattr(request, "certify", False):
         # Certified results carry a sealed proof payload the plain ones
         # lack; give them their own cache line so the two never alias.
         kind += "+cert"
-    return f"{kind}:{subject_key}"
+    key = f"{kind}:{subject_key}"
+    return key, key
 
 
-def routing_key(request: Request) -> str | None:
-    """The sharded tier's *placement* key — what consistent hashing
-    spreads across shards.
-
-    For most requests this is just :func:`cache_key` (answers live on
-    the shard that caches them).  Monitor requests route by *policy* —
-    the formula + alphabet, ignoring trace and horizon — so every trace
-    monitored against one policy lands on the shard whose compile cache
-    already holds its tables, instead of scattering one policy's
-    monitor across the fleet."""
-    if isinstance(request, MonitorRequest):
-        try:
-            subject_key = _subject_key(request)
-        except CanonicalizationError:
-            return None
-        if subject_key is None:
-            return None
-        return f"monitor:{subject_key}"
-    return cache_key(request)
+def cache_key(request: Request) -> str | None:
+    """The request's cache key (:func:`request_keys`)."""
+    return request_keys(request)[0]
 
 
 def compute(request: Request):

@@ -62,11 +62,11 @@ from .cache import MISS, ResultCache
 from .requests import (
     Request,
     ServiceClosed,
-    ServiceError,
     ServiceOverloaded,
     ServiceResult,
     ServiceTimeout,
 )
+from .wire import RequestFrame, WireError
 
 #: Serving observability (naming per DESIGN.md: repro_<pkg>_<name>_<unit>).
 _REQUESTS = REGISTRY.counter(
@@ -116,7 +116,9 @@ class PendingReply:
     ``context`` is the request's :class:`RequestContext` (``None`` when
     the service runs with ``track_inflight=False``) — poll
     ``reply.context.phases()`` mid-flight for the same breakdown
-    ``/debug/inflight`` serves."""
+    ``/debug/inflight`` serves.  ``request`` is what was submitted: a
+    shard's :class:`~repro.service.wire.RequestFrame` until the service
+    decodes it to compute."""
 
     __slots__ = ("request", "deadline", "context", "_future", "_journal")
 
@@ -268,14 +270,17 @@ class AnalysisService:
 
     # -- the request path ---------------------------------------------------
 
-    def submit(self, request: Request, *, timeout: float | None = None,
-               origin: str = "local",
+    def submit(self, request: Request | RequestFrame, *,
+               timeout: float | None = None, origin: str = "local",
                request_id: str | None = None) -> PendingReply:
         """Admit one request, returning its :class:`PendingReply`.
 
         A cache hit is answered here, on the calling thread, and its
         reply comes back already resolved; misses, uncacheable requests
-        and certificate replays run on the worker pool.
+        and certificate replays run on the worker pool.  A shard submits
+        a :class:`~repro.service.wire.RequestFrame` for a frame that
+        carries its router's cache key: the key is looked up as given,
+        and the frame is decoded only when the request must be computed.
 
         Raises :class:`ServiceOverloaded` when ``max_pending`` requests
         are already in flight and :class:`ServiceClosed` after
@@ -287,7 +292,7 @@ class AnalysisService:
         is traceable shard-side under the same id it carries in the
         router (ignored when ``track_inflight=False``: there is no
         context to carry it)."""
-        if not isinstance(request, Request):
+        if not isinstance(request, (Request, RequestFrame)):
             raise TypeError(
                 f"submit() takes a Request, not {type(request).__name__!r}"
             )
@@ -342,7 +347,8 @@ class AnalysisService:
         reply = PendingReply(request, deadline, context, journal)
         key_error = None
         try:
-            key = handlers.cache_key(request)
+            key = (request.key if isinstance(request, RequestFrame)
+                   else handlers.cache_key(request))
             value = MISS if key is None else self.cache.lookup(key)
         except Exception as exc:  # noqa: BLE001 — result() re-raises it
             # a subject the key cannot be built for fails its request,
@@ -416,8 +422,7 @@ class AnalysisService:
     def _serve(self, reply: PendingReply, submitted_at: float,
                key: str | None, value, handed_off: float | None,
                key_error: Exception | None) -> ServiceResult:
-        request = reply.request
-        kind = request.kind
+        kind = reply.request.kind
         deadline = reply.deadline
         context = reply.context
         picked_up = time.perf_counter()
@@ -458,6 +463,7 @@ class AnalysisService:
                           Span("compute", start=compute_started)):
                         if key_error is not None:
                             raise key_error
+                        request = self._decoded(reply)
                         value, hit = self.cache.get_or_compute(
                             key, lambda: handlers.compute(request)
                         )
@@ -466,10 +472,8 @@ class AnalysisService:
                     # the certificate replay is its own phase
                     with _NO_SPAN if context is None else Span("verify"):
                         value, hit, event = self._replay_hit(
-                            request, key, value, context
+                            reply, key, value, context
                         )
-            except ServiceError:
-                raise
             except BaseException as exc:
                 _REQUESTS.labels(kind=kind, outcome="error").add()
                 self._emit("service.request_done", WARN, context,
@@ -498,7 +502,7 @@ class AnalysisService:
             if self.slow_threshold is not None:
                 self._note_if_slow(context, kind, elapsed)
             return ServiceResult(
-                request=request,
+                request=reply.request,
                 value=value,
                 cached=hit,
                 key=key,
@@ -535,7 +539,27 @@ class AnalysisService:
                     for k, v in (context.phases() if context else {}).items()},
         )
 
-    def _replay_hit(self, request: Request, key: str | None, value,
+    @staticmethod
+    def _decoded(reply: PendingReply) -> Request:
+        """The request ``reply`` must compute.  A shard's
+        :class:`~repro.service.wire.RequestFrame` is decoded here, and the
+        key rebuilt from its decoded subject must be the frame's: a
+        disagreeing key fails the request with :class:`WireError` before
+        anything is computed or cached.  A hit never gets here — it
+        trusts the router's key (DESIGN.md §13)."""
+        request = reply.request
+        if isinstance(request, Request):
+            return request
+        decoded = request.decode()
+        if handlers.cache_key(decoded) != request.key:
+            raise WireError(
+                f"frame key {request.key!r} is not the key of its "
+                f"{request.kind} request"
+            )
+        reply.request = decoded
+        return decoded
+
+    def _replay_hit(self, reply: PendingReply, key: str | None, value,
                     context: RequestContext | None = None):
         """Re-verify a certificate-bearing cache hit before serving it.
 
@@ -550,7 +574,7 @@ class AnalysisService:
         self._emit("cert.verify_fail", WARN, context, key=key)
         self.cache.invalidate(key, rejected=True)
         # _process journals the summary "cache.rejected" outcome event
-        value = handlers.compute(request)
+        value = handlers.compute(self._decoded(reply))
         if key is not None:
             self.cache.put(key, value)
         return value, False, "rejected"

@@ -2,8 +2,12 @@
 
 :class:`ShardedService` spawns ``shards`` worker processes (each one
 :mod:`repro.service.sharded.worker` — today's ``AnalysisService`` behind
-the wire protocol) and routes every request by its canonical cache key
-over a :class:`~repro.service.sharded.ring.HashRing`.  The design is
+the wire protocol) and routes every request by its placement key — the
+canonical cache key, or a monitor's policy key — over a
+:class:`~repro.service.sharded.ring.HashRing`.  Both keys come from one
+:func:`~repro.service.handlers.request_keys` call, and the request frame
+carries the cache key, so a shard serves a hit without decoding the
+request or building its key again.  The design is
 shared-nothing: no shard ever talks to another, each owns its slice of
 the keyspace, and the router owns *only* routing, health and
 aggregation.
@@ -50,7 +54,7 @@ from repro.obs.trace import mint_request_id
 from repro.ops.journal import INFO, JOURNAL, WARN, EventJournal
 
 from repro.service.cache import ResultCacheStats
-from repro.service.handlers import routing_key as _routing_key_of
+from repro.service.handlers import request_keys
 from repro.service.requests import (
     Request,
     ServiceClosed,
@@ -96,20 +100,30 @@ MAX_RESPAWNS = 3
 
 
 class _Flight:
-    """One routed request: its wire request plus the caller's future."""
+    """One routed request: its wire request, its cache key and its shard
+    preference on ``ring``, plus the caller's future."""
 
-    __slots__ = ("request_id", "request", "wire", "future", "deadline",
-                 "origin", "preference", "idempotent", "deliveries",
-                 "shard", "grace_end")
+    __slots__ = ("request_id", "request", "wire", "key", "future",
+                 "deadline", "origin", "preference", "idempotent",
+                 "deliveries", "shard", "grace_end")
 
-    def __init__(self, request, deadline, origin, preference):
+    def __init__(self, request, deadline, origin, ring: HashRing):
         self.request_id = mint_request_id()
         self.request = request
         self.wire = encode_request(request)
+        try:
+            self.key, placement = request_keys(request)
+        except Exception:
+            # Key construction can reject a malformed request (e.g. a
+            # subject outside its lattice); route it anyway and let the
+            # shard raise the real, helpful error on compute.
+            self.key = placement = None
         self.future: Future = Future()
         self.deadline = deadline
         self.origin = origin
-        self.preference = preference
+        self.preference = (
+            None if placement is None else ring.preference(placement)
+        )
         self.idempotent = not getattr(request, "certify", False)
         self.deliveries = 0
         self.shard = None
@@ -119,6 +133,9 @@ class _Flight:
         payload = {"id": self.request_id, "op": "request",
                    "request": self.wire, "origin": self.origin,
                    "trace_id": self.request_id}
+        if self.key is not None:
+            # the shard serves a hit from this key without decoding
+            payload["key"] = self.key
         if self.deadline is not None:
             payload["timeout"] = max(0.0, self.deadline - time.perf_counter())
         return pack_frame(payload)
@@ -645,10 +662,11 @@ class ShardedService:
                origin: str = "client") -> ShardReply:
         """Route one request; returns its :class:`ShardReply`.
 
-        Serialization happens here, on the caller's thread — a subject
-        the wire cannot carry raises :class:`~repro.service.wire.WireError`
-        at submit time, before anything is queued.  Never blocks on
-        shard readiness."""
+        Serialization and the request's keys — its cache key, which the
+        frame carries, and its placement key — happen here, on the
+        caller's thread: a subject the wire cannot carry raises
+        :class:`~repro.service.wire.WireError` at submit time, before
+        anything is queued.  Never blocks on shard readiness."""
         if not isinstance(request, Request):
             raise TypeError(
                 f"submit() takes a Request, not {type(request).__name__!r}"
@@ -660,17 +678,7 @@ class ShardedService:
         deadline = (
             None if timeout is None else time.perf_counter() + timeout
         )
-        try:
-            routing_key = _routing_key_of(request)
-        except Exception:
-            # Key construction can reject a malformed request (e.g. a
-            # subject outside its lattice); route it anyway and let the
-            # shard raise the real, helpful error on compute.
-            routing_key = None
-        flight = _Flight(
-            request, deadline, origin,
-            None if routing_key is None else self.ring.preference(routing_key),
-        )
+        flight = _Flight(request, deadline, origin, self.ring)
         self._route(flight)
         return ShardReply(request, flight.request_id, deadline, flight.future)
 

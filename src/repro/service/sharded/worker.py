@@ -13,9 +13,14 @@ verify-on-hit — behind length-prefixed JSON frames on stdin/stdout
   completion order, matched by id.  A cache hit completes inside
   ``submit()``, so the dispatch loop queues its reply frame itself
   before reading the next one; only misses and certificate replays
-  complete on the service's worker pool.  A reply's value is encoded
-  once per cache line (:meth:`~repro.service.cache.ResultCache.encoded`),
-  so every later hit reuses those bytes.  The router's trace id rides in as
+  complete on the service's worker pool.  A frame that carries its
+  router's cache key is submitted as a
+  :class:`~repro.service.wire.RequestFrame`: a hit is served from that
+  key without decoding the subject or building a key, and a miss
+  decodes the request and checks the key (DESIGN.md §13).  A reply's
+  value is encoded once per cache line
+  (:meth:`~repro.service.cache.ResultCache.encoded`), so every later hit
+  reuses those bytes.  The router's trace id rides in as
   ``request_id``, so the shard-side in-flight table, slow-log and
   journal show the *same* id the client holds.
 * control frames (``ping``/``readyz``/``cache_stats``/``inflight``/
@@ -44,6 +49,7 @@ from repro.service.cache import ResultCache
 from repro.service.server import AnalysisService, PendingReply
 from repro.service.warmup import parse_workload, replay_workload
 from repro.service.wire import (
+    RequestFrame,
     WireError,
     decode_request,
     encode_error,
@@ -126,7 +132,12 @@ class ShardWorker:
     # -- dispatch ------------------------------------------------------------
 
     def _handle_request(self, frame_id, payload: dict) -> None:
-        request = decode_request(payload["request"])
+        # A frame carrying its router's cache key is submitted undecoded
+        # (version and kind checked): a hit is served from the key, and
+        # the service decodes the request only to compute it.
+        key = payload.get("key")
+        request = (decode_request(payload["request"]) if key is None
+                   else RequestFrame(payload["request"], key))
         reply = self.service.submit(
             request,
             timeout=payload.get("timeout"),

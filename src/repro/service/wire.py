@@ -3,11 +3,23 @@ JSON frames.
 
 The sharded tier (:mod:`repro.service.sharded`) moves requests between
 processes, so the in-process request/reply objects need an explicit,
-*versioned* serialization.  Every frame is a JSON object carrying
-``"v": WIRE_VERSION``; a peer that receives a version it does not speak
-rejects the frame with :class:`WireError` instead of guessing — schema
-evolution is an explicit version bump plus a documented migration, never
-a silent reinterpretation (DESIGN.md §13 states the rules).
+*versioned* serialization.  Every request and result payload is a JSON
+object carrying ``"v": WIRE_VERSION``; a peer that receives a version it
+does not speak rejects the payload with :class:`WireError` instead of
+guessing.  The envelope around a payload (``id``, ``op``, ``origin``,
+``trace_id``, ``timeout``, ``key``) is read field by field with
+``.get``.  Schema evolution is additive — an optional field whose
+absence means the old behaviour, or a new union arm old peers reject as
+unknown — or else an explicit version bump plus a documented migration,
+never a silent reinterpretation (DESIGN.md §13 states the rules).
+
+A request frame's envelope carries the router's cache key when it has
+one.  A shard then wraps the payload in a :class:`RequestFrame`, which
+checks the version and the kind and decodes the rest only if the
+request must be computed: a cache hit trusts the router's key, the
+trust the ``pickle`` arm below already grants the router, and a miss
+rebuilds the key from the decoded subject and fails with
+:class:`WireError` when the two disagree.
 
 Injectivity follows the :func:`repro.canonical.stable_token` discipline,
 transplanted to JSON: every payload is a *tagged* object (``{"t": ...}``
@@ -66,6 +78,7 @@ from .requests import (
 
 __all__ = [
     "MAX_FRAME_BYTES",
+    "RequestFrame",
     "WIRE_VERSION",
     "WireError",
     "decode_error",
@@ -79,9 +92,9 @@ __all__ = [
     "read_frame",
 ]
 
-#: The one schema version this codebase speaks.  Bump on any change to
-#: the frame or payload shapes and keep a decoder for the old version
-#: for one release (DESIGN.md §13's versioning rules).
+#: The one schema version this codebase speaks.  Bump on any change that
+#: is not additive and keep a decoder for the old version for one
+#: release (DESIGN.md §13's versioning rules).
 WIRE_VERSION = 1
 
 #: Frame size guard: a corrupted length prefix must not allocate
@@ -317,8 +330,9 @@ def _decode_trace(payload: dict) -> tuple:
     raise WireError(f"unknown trace tag {payload.get('t')!r}")
 
 
-def decode_request(payload: dict) -> Request:
-    """The inverse of :func:`encode_request` (canonical classes only)."""
+def _request_type(payload) -> type:
+    """The request class a payload names, once its version and kind are
+    checked — nothing else is decoded."""
     _require_version(payload)
     kind = payload.get("kind")
     request_type = _REQUEST_OF.get(kind)
@@ -326,6 +340,15 @@ def decode_request(payload: dict) -> Request:
         raise WireError(f"unknown request kind {kind!r}")
     if "subject" not in payload:
         raise WireError("request payload has no subject")
+    return request_type
+
+
+def decode_request(payload: dict) -> Request:
+    """The inverse of :func:`encode_request` (canonical classes only)."""
+    return _decode_fields(_request_type(payload), payload)
+
+
+def _decode_fields(request_type: type, payload: dict) -> Request:
     kwargs: dict = {"subject": _decode_subject(payload["subject"])}
     if "alphabet" in payload:
         kwargs["alphabet"] = _decode_alphabet(payload["alphabet"])
@@ -343,6 +366,31 @@ def decode_request(payload: dict) -> Request:
         if "horizon" in payload:
             kwargs["horizon"] = int(payload["horizon"])
     return request_type(**kwargs)
+
+
+class RequestFrame:
+    """A request payload checked for version and kind, with the cache
+    key its router built; the subject and the rest of the request are
+    decoded only by :meth:`decode`.
+
+    A shard submits one of these for a frame that carries a ``key``, so
+    :meth:`~repro.service.server.AnalysisService.submit` serves a cache
+    hit from the key alone and decodes only when it must compute
+    (DESIGN.md §13, "The frame's key")."""
+
+    __slots__ = ("kind", "key", "_type", "_payload")
+
+    def __init__(self, payload: dict, key: str):
+        if not isinstance(key, str):
+            raise WireError(f"frame key must be a string, not {key!r}")
+        self._type = _request_type(payload)
+        self.kind = payload["kind"]
+        self.key = key
+        self._payload = payload
+
+    def decode(self) -> Request:
+        """The request the payload encodes."""
+        return _decode_fields(self._type, self._payload)
 
 
 # -- results and errors ------------------------------------------------------

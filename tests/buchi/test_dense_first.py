@@ -375,3 +375,70 @@ def test_public_constructor_still_validates():
             transitions={(0, "a"): frozenset({7})},
             accepting=frozenset(),
         )
+
+
+# -- trim and the one-state automata ------------------------------------------
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_trim_returns_a_dense_built_part_without_building_its_dict(seed):
+    from repro.buchi.emptiness import trim
+
+    safety = _decompose(subject(seed)).safety
+    if safety.states == {"dead"}:
+        return  # the empty closure: trim rebuilds it
+    assert safety.transitions.dense and safety.transitions._build is not None
+    assert trim(safety) is safety
+    assert safety.transitions._build is not None
+
+
+def test_trim_still_drops_explicit_empty_entries():
+    from repro.buchi.emptiness import trim
+
+    explicit = BuchiAutomaton.build("ab", [0], 0,
+                                    {(0, "a"): [0], (0, "b"): []}, [0])
+    trimmed = trim(explicit)
+    assert trimmed is not explicit
+    assert trimmed == BuchiAutomaton.build("ab", [0], 0, {(0, "a"): [0]}, [0])
+
+
+def built_empty(alphabet, name="∅"):
+    return BuchiAutomaton.build(alphabet=alphabet, states=["dead"],
+                                initial="dead", transitions={},
+                                accepting=[], name=name)
+
+
+def built_universal(alphabet, name="Σ^ω"):
+    return BuchiAutomaton.build(alphabet=alphabet, states=["⊤"], initial="⊤",
+                                transitions={("⊤", a): ["⊤"] for a in alphabet},
+                                accepting=["⊤"], name=name)
+
+
+ALPHABETS = [frozenset("ab"), "ba", ["c", "a", "b"], {"q", "r"},
+             frozenset({1, "x", (2, 3)}), frozenset(range(9))]
+
+
+@pytest.mark.parametrize("alphabet", ALPHABETS, ids=repr)
+@pytest.mark.parametrize("made, built", [
+    (empty_automaton, built_empty),
+    (universal_automaton, built_universal),
+])
+def test_one_state_automata_match_the_build_spelling(made, built, alphabet):
+    automaton = made(alphabet, name="n")
+    reference = built(alphabet, name="n")
+    assert automaton == reference and reference == automaton
+    assert hash(automaton) == hash(reference)
+    assert pickle.dumps(automaton) == pickle.dumps(reference)
+    assert automaton.name == reference.name
+    assert list(automaton.transitions.items()) == \
+        list(reference.transitions.items())
+    form, expected = automaton.to_dense(), reference.to_dense()
+    assert (form.core, form.states, form.symbols) == \
+        (expected.core, expected.states, expected.symbols)
+    assert automaton.canonical_key() == reference.canonical_key()
+
+
+def test_one_state_automata_reject_an_empty_alphabet():
+    for made in (empty_automaton, universal_automaton):
+        with pytest.raises(AutomatonError):
+            made(())

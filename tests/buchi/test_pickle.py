@@ -56,3 +56,31 @@ def test_pickle_bytes_ignore_memos(seed):
     decompose(automaton)
     assert pickle.dumps(automaton) == before
 
+
+
+@pytest.mark.parametrize("seed", SEEDS[:8])
+def test_key_memo_stays_out_of_pickles_and_replies(seed):
+    """``canonical_key()`` is memoized beside the dense form: the pickle,
+    the wire's reply encoding, ``==`` and ``hash`` read the same before
+    and after the key is read."""
+    from repro.service.wire import encode_value
+
+    automaton = random_automaton(seed, 1 + seed % 7, name=f"R{seed}")
+    parts = decompose(automaton)
+    parts_encoded = encode_value(parts)
+    for label, subject in [("random", automaton), ("safety", parts.safety),
+                           ("liveness", parts.liveness)]:
+        twin = pickle.loads(pickle.dumps(subject))
+        before = pickle.dumps(subject)
+        encoded = encode_value(subject)
+        digest = hash(subject)
+        key = subject.canonical_key()
+        assert vars(subject)["_canonical_key"] == key, label
+        assert subject.canonical_key() is key, label
+        assert "_canonical_key" not in subject.__getstate__(), label
+        assert pickle.dumps(subject) == before, label
+        assert encode_value(subject) == encoded, label
+        assert hash(subject) == digest == hash(twin), label
+        assert subject == twin and twin == subject, label
+        assert twin._structural_key() == key, label
+    assert encode_value(parts) == parts_encoded

@@ -123,3 +123,40 @@ class TestNNFSemanticsPreserved:
             nnf = nnf_over_alphabet(f, "ab")
             for w in all_lassos("ab", 2, 2):
                 assert satisfies(w, f) == satisfies(w, nnf), (f, w)
+
+
+class TestCanonicalKeyMemo:
+    """``canonical_key()`` is memoized on the formula, outside ``==``,
+    ``hash`` and pickles."""
+
+    FORMULAS = ["G a", "a U (b & X !a)", "GF a -> F b", "true", "false"]
+
+    @pytest.mark.parametrize("text", FORMULAS)
+    def test_memo_changes_no_pickle_reply_or_identity(self, text):
+        import pickle
+
+        from repro.ltl import parse
+        from repro.service.wire import encode_value
+
+        formula = parse(text)
+        twin = parse(text)
+        before = pickle.dumps(formula)
+        encoded = encode_value(formula)
+        digest = hash(formula)
+        key = formula.canonical_key()
+        assert "_canonical_key" in vars(formula)
+        assert formula.canonical_key() is key
+        assert key == twin._structural_key()
+        assert pickle.dumps(formula) == before == pickle.dumps(twin)
+        assert encode_value(formula) == encoded
+        assert hash(formula) == digest == hash(twin)
+        assert formula == twin and twin == formula
+        copy = pickle.loads(pickle.dumps(formula))
+        assert "_canonical_key" not in vars(copy)
+        assert copy == formula and copy.canonical_key() == key
+
+    def test_subformula_keys_are_their_own(self):
+        formula = And(G(sym("a")), F(sym("b")))
+        formula.canonical_key()
+        assert "_canonical_key" not in vars(formula.left)
+        assert formula.left.canonical_key() != formula.canonical_key()

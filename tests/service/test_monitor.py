@@ -18,7 +18,7 @@ from repro.service import (
     ShardedService,
     ShardedTransport,
 )
-from repro.service.handlers import cache_key, routing_key
+from repro.service.handlers import cache_key, request_keys
 from repro.service.wire import decode_request, encode_request
 
 ALPHABET = frozenset({"a", "b"})
@@ -97,16 +97,18 @@ class TestMonitorCacheKeys:
                              events=("b", "b"), horizon=7)
         other = MonitorRequest(subject=parse("F b"), alphabet=ALPHABET,
                                events=("a",))
-        assert routing_key(one) == routing_key(two)
-        assert routing_key(one) != routing_key(other)
-        assert routing_key(one).startswith("monitor:")
+        placement = request_keys(one)[1]
+        assert placement == request_keys(two)[1]
+        assert placement != request_keys(other)[1]
+        assert placement.startswith("monitor:")
 
     def test_routing_key_of_other_kinds_is_the_cache_key(self):
         from repro.service import DecomposeRequest
         from repro.ltl import translate
 
         request = DecomposeRequest(translate(parse("G a"), "ab"))
-        assert routing_key(request) == cache_key(request)
+        key, placement = request_keys(request)
+        assert placement == key == cache_key(request)
 
     def test_second_identical_request_is_cached(self, client):
         first = client.monitor(parse("G a"), alphabet=ALPHABET,

@@ -2,6 +2,8 @@
 protocol, shard-death recovery, and the PR-4 cache-soundness regressions
 re-run across the process boundary."""
 
+import dataclasses
+import io
 import json
 import os
 import threading
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 
 from repro.lattice import LatticeClosure, boolean_lattice
 from repro.ltl import parse, translate
+from repro.obs.metrics import REGISTRY
 from repro.ops.http import OpsServer
 from repro.omega import LassoWord
 from repro.ops.journal import EventJournal
@@ -22,13 +25,21 @@ from repro.service import (
     ClassifyRequest,
     Client,
     DecomposeRequest,
+    MonitorRequest,
     ServiceClosed,
     ShardedService,
     ShardedTransport,
 )
+from repro.service.handlers import cache_key, compute, request_keys
 from repro.service.sharded import HashRing
+from repro.service.sharded import router as router_module
 from repro.service.sharded.worker import ShardWorker
-from repro.service.wire import encode_request, pack_frame, read_frame
+from repro.service.wire import (
+    decode_result,
+    encode_request,
+    pack_frame,
+    read_frame,
+)
 
 ALPHABET = frozenset({"a", "b"})
 
@@ -112,6 +123,20 @@ class _PipedWorker:
         except OSError:
             pass
         self.thread.join(timeout=15.0)
+
+
+def counting(monkeypatch, module, name):
+    """Replace ``module.name`` with a wrapper recording the first
+    argument of each call."""
+    calls = []
+    real = getattr(module, name)
+
+    def wrapper(first, *args, **kwargs):
+        calls.append(first)
+        return real(first, *args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
 
 
 @pytest.fixture
@@ -198,20 +223,6 @@ class TestWorkerProtocol:
         finally:
             worker.close()
 
-    @staticmethod
-    def _count_pickles(monkeypatch):
-        from repro.service import wire
-
-        calls = []
-        real = wire._pickled
-
-        def counting(obj):
-            calls.append(obj)
-            return real(obj)
-
-        monkeypatch.setattr(wire, "_pickled", counting)
-        return calls
-
     def test_hits_reuse_the_lines_encoding(self, monkeypatch):
         """A shard pickles a cached value once per cache line: 20 hits
         on a warmed key pickle it exactly once, and a recompute after
@@ -223,7 +234,9 @@ class TestWorkerProtocol:
         key = handlers.cache_key(request)
         service = AnalysisService(workers=2, max_pending=16)
         service.cache.put(key, handlers.compute(request))
-        pickles = self._count_pickles(monkeypatch)
+        from repro.service import wire
+
+        pickles = counting(monkeypatch, wire, "_pickled")
         worker = _PipedWorker(service)
         try:
             for index in range(20):
@@ -255,14 +268,7 @@ class TestWorkerProtocol:
         line to keep its encoding on, so every reply is encoded."""
         from repro.service.sharded import worker as worker_module
 
-        encoded = []
-        real = worker_module.encode_value
-
-        def counting(value):
-            encoded.append(value)
-            return real(value)
-
-        monkeypatch.setattr(worker_module, "encode_value", counting)
+        encoded = counting(monkeypatch, worker_module, "encode_value")
         request = CheckRequest(parse("G a"), alphabet=ALPHABET,
                                witness=LassoWord((), ("a",)))
         worker = _PipedWorker(AnalysisService(workers=1))
@@ -301,6 +307,145 @@ class TestWorkerProtocol:
             assert second["ok"]
             assert second["result"]["value"] == {"t": "json", "v": None}
             assert second["result"]["cached"] is True  # adopted, not recomputed
+        finally:
+            worker.close()
+
+
+# -- the frame's key: hits served from it, misses checked against it --------
+
+
+def routed(request):
+    """The request frame the router writes for ``request``, as the shard
+    reads it."""
+    flight = router_module._Flight(request, None, "client", HashRing(2))
+    return read_frame(io.BytesIO(flight.frame()))
+
+
+class TestFrameKey:
+    def test_a_hit_decodes_no_subject_and_builds_no_key(self, monkeypatch):
+        from repro.service import handlers, wire
+
+        request = DecomposeRequest(parse("G a"), alphabet=ALPHABET)
+        service = AnalysisService(workers=2, max_pending=16)
+        service.cache.put(cache_key(request), compute(request))
+        frame = routed(request)
+        miss = routed(DecomposeRequest(parse("F b"), alphabet=ALPHABET))
+        assert frame["key"] == cache_key(request)
+        decodes = counting(monkeypatch, wire, "_decode_subject")
+        keys = counting(monkeypatch, handlers, "request_keys")
+        worker = _PipedWorker(service)
+        try:
+            for index in range(5):
+                worker.send({**frame, "id": f"r{index}"})
+            replies = [worker.recv() for _ in range(5)]
+            assert all(reply["ok"] and reply["result"]["cached"]
+                       and reply["result"]["key"] == frame["key"]
+                       for reply in replies)
+            assert decodes == [] and keys == []
+            # a miss decodes its subject once and rebuilds its key once
+            worker.send(miss)
+            reply = worker.recv()
+            assert reply["ok"] and reply["result"]["cached"] is False
+            assert reply["result"]["key"] == miss["key"]
+            assert len(decodes) == 1 and len(keys) == 1
+        finally:
+            worker.close()
+
+    def test_a_disagreeing_key_fails_typed_on_a_miss(self):
+        frame = routed(DecomposeRequest(parse("G a"), alphabet=ALPHABET))
+        wrong = [
+            cache_key(DecomposeRequest(parse("F b"), alphabet=ALPHABET)),
+            # the same subject, certified: another cache line
+            cache_key(DecomposeRequest(parse("G a"), alphabet=ALPHABET,
+                                       certify=True)),
+        ]
+        errors = REGISTRY.counter(
+            "repro_service_requests_total",
+            "requests completed, by kind and outcome (ok/error/timeout)",
+            ("kind", "outcome"),
+        ).labels(kind="decompose", outcome="error")
+        counted = errors.value
+        service = AnalysisService(workers=1)
+        worker = _PipedWorker(service)
+        try:
+            for index, key in enumerate(wrong + [7]):
+                worker.send({**frame, "id": f"w{index}", "key": key})
+                reply = worker.recv()
+                assert not reply["ok"]
+                assert reply["error"]["type"] == "WireError"
+            assert len(service.cache) == 0
+            # the two computed mismatches count as errors; the malformed
+            # key is refused before admission
+            assert errors.value == counted + 2
+            worker.send(frame)
+            reply = worker.recv()
+            assert reply["ok"] and reply["result"]["cached"] is False
+            assert [line["key"] for line in service.cache.lines()] == \
+                [frame["key"]]
+        finally:
+            worker.close()
+
+    def test_frames_without_a_key_are_served_as_before(self):
+        uncacheable = CheckRequest(parse("G a"), alphabet=ALPHABET,
+                                   witness=LassoWord((), ("a",)))
+        # a subject outside its lattice: building the key raises
+        outside = DecomposeRequest(
+            frozenset({7}),
+            closure=LatticeClosure.identity(boolean_lattice(2)),
+        )
+        frames = [routed(uncacheable), routed(outside)]
+        assert all("key" not in frame for frame in frames)
+        worker = _PipedWorker(AnalysisService(workers=1))
+        try:
+            worker.send(frames[0])
+            reply = worker.recv()
+            assert reply["ok"] and reply["result"]["key"] is None
+            assert reply["result"]["value"] == {"t": "json", "v": True}
+            worker.send(frames[1])
+            reply = worker.recv()
+            assert not reply["ok"] and reply["error"]["type"] == "KeyError"
+        finally:
+            worker.close()
+
+    def test_monitor_and_certify_frames_with_verify_on_hit(self):
+        from repro.certs import verify_certificate
+
+        monitor = MonitorRequest(parse("G (a -> F b)"), alphabet=ALPHABET,
+                                 events=("a", "b", "a"), horizon=2)
+        key, placement = request_keys(monitor)
+        assert key != placement  # a monitor is placed by its policy
+        certify = DecomposeRequest(automaton(), certify=True)
+        frames = {"m": routed(monitor), "c": routed(certify)}
+        requests = {"m": monitor, "c": certify}
+        service = AnalysisService(workers=2, verify_on_hit=True)
+        worker = _PipedWorker(service)
+
+        def serve(tag):
+            worker.send({**frames[tag], "id": tag})
+            reply = worker.recv()
+            assert reply["ok"] and reply["id"] == tag
+            return decode_result(reply["result"], requests[tag])
+
+        try:
+            first = {tag: serve(tag) for tag in frames}
+            second = {tag: serve(tag) for tag in frames}
+            assert not any(result.cached for result in first.values())
+            assert all(result.cached for result in second.values())
+            assert first["m"].value == second["m"].value == compute(monitor)
+            assert verify_certificate(second["c"].value.certificate).ok
+            # a poisoned line: the replay rejects it, and the recompute
+            # decodes the frame and checks its key
+            good = service.cache.lookup(frames["c"]["key"])
+            service.cache.put(frames["c"]["key"], dataclasses.replace(
+                good, certificate=dataclasses.replace(
+                    good.certificate,
+                    digest="0" * len(good.certificate.digest)),
+            ))
+            healed = serve("c")
+            assert healed.cached is False
+            assert verify_certificate(healed.value.certificate).ok
+            assert service.cache.stats().rejected == 1
+            assert serve("c").cached is True
         finally:
             worker.close()
 
@@ -497,6 +642,33 @@ class TestShardDeath:
         assert "shard.exit" in names
         assert "shard.redeliver" in names
         assert "shard.spawn" in names
+
+    def test_a_redelivered_flight_carries_its_key(self, monkeypatch):
+        """Both deliveries of a request caught in a shard death write a
+        frame carrying the request's cache key."""
+        written = []
+        real_send = router_module._Shard.send
+
+        def send(shard, frame_id, entry, frame):
+            if isinstance(entry, router_module._Flight):
+                written.append(read_frame(io.BytesIO(frame)))
+            return real_send(shard, frame_id, entry, frame)
+
+        monkeypatch.setattr(router_module._Shard, "send", send)
+        request = DecomposeRequest(parse("F b"), alphabet=ALPHABET)
+        with ShardedService(
+            shards=1, workers_per_shard=1, max_deliveries=3,
+            worker_args=("--chaos-exit-after", "2"),
+            health_interval=0.2, journal=sharded_journal(),
+        ) as service:
+            service.request(DecomposeRequest(parse("G a"), alphabet=ALPHABET),
+                            timeout=60)
+            recovered = service.request(request, timeout=120)
+        assert recovered.key == cache_key(request)
+        deliveries = [frame for frame in written
+                      if frame["id"] == written[-1]["id"]]
+        assert len(deliveries) == 2
+        assert all(frame["key"] == cache_key(request) for frame in deliveries)
 
     def test_inflight_certify_fails_closed_at_most_once(self):
         """A certify request caught in a shard death must NOT be re-run:

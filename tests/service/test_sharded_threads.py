@@ -16,7 +16,7 @@ from repro.ltl import parse
 from repro.obs.metrics import REGISTRY
 from repro.ops.journal import EventJournal
 from repro.service import ClassifyRequest, ServiceClosed, ShardedService
-from repro.service.handlers import routing_key
+from repro.service.handlers import request_keys
 
 ALPHABET = frozenset({"a", "b"})
 
@@ -91,7 +91,7 @@ class TestHealthProbeKill:
         request = ClassifyRequest(parse(text), alphabet=ALPHABET)
         with ShardedService(shards=2, health_interval=0.1,
                             journal=journal) as service:
-            owner = service.ring.shard_for(routing_key(request))
+            owner = service.ring.shard_for(request_keys(request)[1])
             victim = service.shard_pids()[owner]
             deaths = _deaths(owner)
             os.kill(victim, signal.SIGSTOP)
