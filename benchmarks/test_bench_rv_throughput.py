@@ -76,7 +76,7 @@ def test_engine_throughput(benchmark, batch_size):
         _run_batches(engine, stream, batch_size)
         return engine
 
-    engine = benchmark.pedantic(ingest_all, setup=setup, rounds=3, iterations=1)
+    engine = benchmark.pedantic(ingest_all, setup=setup, rounds=5, iterations=1)
     for i in range(n_sessions):
         expected = RvMonitor(parse(SPECS[i % len(SPECS)]), "ab").run(traces[i])
         assert engine.sessions.get(i).verdict is expected
@@ -109,7 +109,7 @@ def test_engine_throughput_finitary(benchmark):
         _run_batches(engine, stream, 1024)
         return engine
 
-    engine = benchmark.pedantic(ingest_all, setup=setup, rounds=3, iterations=1)
+    engine = benchmark.pedantic(ingest_all, setup=setup, rounds=5, iterations=1)
     tally = Counter(v.value for v in engine.verdicts4().values())
     assert len(tally) == 4, tally  # the whole lattice shows up
     snap = engine.stats.snapshot()

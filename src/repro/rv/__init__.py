@@ -19,9 +19,9 @@ the traffic.  Layering (each layer only knows the one below):
 * :mod:`repro.rv.pool` — the shared inline-or-parallel
   :class:`WorkerPool` (also runs :mod:`repro.service` cache misses and
   certificate replays);
-* :mod:`repro.rv.engine` — batched ingest (route, encode, then
-  advance), monitor-grouped dispatch over the pool, verdict-transition
-  recording (:class:`RvEngine`);
+* :mod:`repro.rv.engine` — batched ingest (route and encode in one
+  pass, then advance), monitor-grouped dispatch over the pool, stats
+  charged per group, verdict-transition recording (:class:`RvEngine`);
 * :mod:`repro.rv.stats` — the engine's measurements
   (:class:`EngineStats`), a facade over the shared :mod:`repro.obs`
   metric registry (``repro_rv_*`` families with an ``engine`` label,

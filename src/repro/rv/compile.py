@@ -42,6 +42,7 @@ The classes:
 
 from __future__ import annotations
 
+import functools
 import threading
 from collections import OrderedDict
 from types import MappingProxyType
@@ -124,9 +125,6 @@ class BoundTracker:
         return cls(table.symbols, table.symbol_index, table.initial,
                    table.next_state, good)
 
-    def __len__(self) -> int:
-        return len(self.next_state)
-
     def step(self, state: int, symbol) -> int:
         return self.next_state[state][self.symbol_index[symbol]]
 
@@ -160,10 +158,10 @@ class MonitorTable:
     """
 
     __slots__ = ("formula", "alphabet", "symbols", "symbol_index", "initial",
-                 "next_state", "verdicts", "states")
+                 "next_state", "verdicts")
 
     def __init__(self, formula, alphabet, symbols, symbol_index, initial,
-                 next_state, verdicts, states):
+                 next_state, verdicts):
         self.formula = formula
         self.alphabet = alphabet
         self.symbols = symbols
@@ -171,7 +169,6 @@ class MonitorTable:
         self.initial = initial
         self.next_state = next_state
         self.verdicts = verdicts
-        self.states = states
 
     @classmethod
     def _product(cls, formula, alphabet, pos: SubsetTable, neg: SubsetTable,
@@ -203,19 +200,17 @@ class MonitorTable:
             next_state.append(row)
             i += 1
         return cls(formula, alphabet, symbols, symbol_index, 0,
-                   next_state, tuple(verdicts), tuple(states), **extra)
+                   next_state, tuple(verdicts), **extra)
 
     def __len__(self) -> int:
         return len(self.next_state)
 
     def step(self, state: int, symbol) -> int:
-        index = self.symbol_index.get(symbol)
-        if index is None:
-            raise ValueError(f"event {symbol!r} outside the alphabet")
+        try:
+            index = self.symbol_index[symbol]
+        except (KeyError, TypeError):  # unhashable: outside any frozenset
+            raise outside_alphabet(symbol) from None
         return self.next_state[state][index]
-
-    def verdict_of(self, state: int) -> Verdict3:
-        return self.verdicts[state]
 
     def run(self, events: Iterable) -> Verdict3:
         """One-shot trace evaluation (the table-driven twin of
@@ -282,6 +277,11 @@ class DecomposedMonitor(MonitorTable):
         return session.outcome()
 
 
+def outside_alphabet(event) -> ValueError:
+    """The one error for an event outside a monitor's alphabet."""
+    return ValueError(f"event {event!r} outside the alphabet")
+
+
 def canonical_key(formula: Formula, alphabet: Iterable):
     """The cache key: simplified negation-normal form over the alphabet.
 
@@ -309,7 +309,9 @@ class CompileCache:
     alphabet) pair while it stays resident; the counters let callers
     *prove* reuse (the acceptance test and stats layer read them).
     Entries are :class:`DecomposedMonitor` instances; horizons are
-    session-side, so every horizon shares one entry.
+    session-side, so every horizon shares one entry.  Canonical keys are
+    memoized per raw ``(formula, frozenset(alphabet))`` in an LRU of the
+    same ``maxsize``: formulas hash by value, so a re-parsed policy hits.
     """
 
     def __init__(self, maxsize: int = 256):
@@ -317,12 +319,13 @@ class CompileCache:
             raise ValueError("maxsize must be positive")
         self.maxsize = maxsize
         self._entries: OrderedDict = OrderedDict()
+        self._canonical = functools.lru_cache(maxsize)(canonical_key)
         self._lock = threading.Lock()
         self._hits = 0
         self._misses = 0
 
     def get(self, formula: Formula, alphabet: Iterable) -> DecomposedMonitor:
-        key = canonical_key(formula, alphabet)
+        key = self._canonical(formula, frozenset(alphabet))
         with self._lock:
             table = self._entries.get(key)
             if table is not None:
@@ -359,6 +362,7 @@ class CompileCache:
             self._entries.clear()
             self._hits = 0
             self._misses = 0
+        self._canonical.cache_clear()
 
 
 #: Process-wide default cache (module-level monitors, examples, tests).

@@ -6,22 +6,20 @@ LRU :class:`~repro.rv.compile.CompileCache`), opens a session per live
 trace, and pushes interleaved ``(session_id, event)`` batches.  Each
 batch is:
 
-1. *routed* — one pass splits the batch into per-session slices in
-   arrival order (per-session order is the only order that matters;
-   sessions are independent), resolving each session id once;
-2. *encoded* — every slice is checked against its session's alphabet
-   and mapped to table indices (:meth:`TraceSession.encode
-   <repro.rv.session.TraceSession.encode>`) before any session moves,
-   so a rejected batch leaves every session exactly as it was;
-3. *grouped* — the encoded slices are bucketed by compiled monitor, so
-   a worker's inner loop stays on one transition table (cache-friendly,
-   and the natural sharding unit);
-4. *dispatched* — groups run on a thread pool (``workers > 1``) or
-   inline (``workers ≤ 1``), each session advancing over its slice
-   (:meth:`TraceSession.advance <repro.rv.session.TraceSession
-   .advance>`, the one stepping loop).  Workers never share a session,
-   so the result is deterministic: identical to feeding sessions one
-   event at a time, which the test suite checks against the reference
+1. *routed and encoded* — one pass appends each event's table index to
+   its session's slice in arrival order (per-session order is the only
+   order that matters; sessions are independent), resolving each
+   session id once and joining each new session to its compiled
+   monitor's group.  No session moves before the whole batch is
+   encoded, so a rejected batch leaves every session as it was;
+2. *dispatched* — groups run on a thread pool (``workers > 1``) or
+   inline (``workers ≤ 1``), so a worker's inner loop stays on one
+   transition table (cache-friendly, and the natural sharding unit),
+   each session advancing over its slice (:meth:`TraceSession.advance
+   <repro.rv.session.TraceSession.advance>`, the one stepping loop) and
+   the stats charged once per group.  Workers never share a session, so
+   the result is deterministic: identical to feeding sessions one event
+   at a time, which the test suite checks against the reference
    :class:`~repro.ltl.monitoring.RvMonitor` verdict for verdict.
 
 Python threads don't parallelize the pure-Python table loop (the GIL),
@@ -41,7 +39,7 @@ from repro.ltl.syntax import Formula
 from repro.obs.trace import RECORDER, Span
 from repro.ops.journal import DEBUG, JOURNAL, WARN, EventJournal
 
-from .compile import CompileCache, MonitorTable
+from .compile import CompileCache, MonitorTable, outside_alphabet
 from .pool import WorkerPool
 from .session import SessionManager, TraceSession
 from .stats import EngineStats
@@ -87,15 +85,7 @@ class RvEngine:
         self.pool = WorkerPool(workers, thread_name_prefix="rv-worker",
                                journal=journal)
 
-    @property
-    def workers(self) -> int:
-        return self.pool.workers
-
     # -- registration -------------------------------------------------------
-
-    def compile(self, formula: Formula, alphabet: Iterable) -> MonitorTable:
-        """Compile (or fetch) the shared monitor for a policy."""
-        return self.cache.get(formula, alphabet)
 
     def open_session(self, session_id, formula: Formula, alphabet: Iterable,
                      horizon: int | None = None) -> TraceSession:
@@ -105,7 +95,7 @@ class RvEngine:
         different bound pass their own (the monitor is shared either
         way — horizons never reach the compile cache)."""
         session = self.sessions.open(
-            session_id, self.compile(formula, alphabet),
+            session_id, self.cache.get(formula, alphabet),
             self.horizon if horizon is None else horizon,
         )
         self.stats.sessions_opened.add()
@@ -122,9 +112,9 @@ class RvEngine:
 
         Returns ``{session_id: verdict}`` for every session touched by
         the batch.  Raises :class:`~repro.rv.session.SessionError` for
-        unknown ids and ``ValueError`` for foreign symbols — both
-        *before* any session of the batch moves, so a rejected batch
-        leaves every session exactly as it was.
+        an unknown id anywhere in the batch, else ``ValueError`` for the
+        first foreign symbol — *before* any session of the batch moves,
+        so a rejected batch leaves every session exactly as it was.
         """
         if not RECORDER.recording:
             return self._ingest(events, None)
@@ -132,71 +122,76 @@ class RvEngine:
             return self._ingest(events, span)
 
     def _ingest(self, events: Iterable[tuple], span: Span | None) -> dict:
-        routed: dict[object, tuple[TraceSession, list]] = {}
+        routed: dict[object, tuple] = {}
+        groups: dict[MonitorTable, list] = {}
         get = self.sessions.get
+        events = iter(events)
         for session_id, event in events:
-            entry = routed.get(session_id)
-            if entry is None:
-                entry = routed[session_id] = (get(session_id), [])
-            entry[1].append(event)
+            slot = routed.get(session_id)
+            if slot is None:
+                session = get(session_id)
+                indices: list[int] = []
+                slot = routed[session_id] = (
+                    session, indices.append, session.monitor.symbol_index)
+                groups.setdefault(session.monitor, []).append((session, indices))
+            try:
+                slot[1](slot[2][event])
+            except (KeyError, TypeError):
+                for session_id, _ in events:  # unknown ids raise first
+                    get(session_id)
+                raise outside_alphabet(event) from None
         if not routed:
             return {}
-        # admission control: every slice is encoded before any session
-        # advances (atomic reject).
-        groups: dict[int, list] = {}
-        for session, batch in routed.values():
-            groups.setdefault(id(session.monitor), []).append(
-                (session, session.encode(batch)))
-        self.pool.map(self._drain_group, list(groups.values()))
+        drained = sum(self.pool.map(self._drain_group, list(groups.values())))
         if span is not None:
-            span.set(events=sum(len(batch) for _, batch in routed.values()),
-                     sessions=len(routed), groups=len(groups))
+            span.set(events=drained, sessions=len(routed), groups=len(groups))
         self.stats.batches.add()
-        return {sid: session.verdict for sid, (session, _) in routed.items()}
+        return {sid: slot[0].verdict for sid, slot in routed.items()}
 
     def _drain_group(self, group: list[tuple[TraceSession, list[int]]]
-                     ) -> None:
+                     ) -> int:
         """Advance one monitor group's sessions over their encoded
         slices — on a pool thread when parallel, in the ingest span's
-        context either way."""
+        context either way — charging the group's stats once and each
+        session whose verdict moved; returns the events drained."""
         with (Span("rv.drain_group") if RECORDER.recording
               else _NO_SPAN) as span:
-            stats = self.stats
-            journal = self.journal
-            record_drain = stats.record_drain
-            perf_counter = time.perf_counter
-            monotonic = time.monotonic
             drained = stepped = 0
+            moved = []
+            start = time.perf_counter()
             for session, indices in group:
-                count = len(indices)
-                was_final = session.finalized
-                before = session.verdict4
-                start = perf_counter()
-                steps = session.advance(indices)
-                record_drain(count, steps, perf_counter() - start)
-                drained += count
-                stepped += steps
-                if session.finalized and not was_final:
+                # ``_verdict``: the slot costs one call less than ``verdict``
+                before = session._verdict, session.verdict4
+                stepped += session.advance(indices)
+                drained += len(indices)
+                if (session._verdict, session.verdict4) != before:
+                    moved.append((session, before))
+            stats, journal = self.stats, self.journal
+            stats.record_drain(drained, stepped, len(group),
+                               time.perf_counter() - start)
+            for session, (was3, was4) in moved:
+                if session.verdict is not was3:
                     stats.record_verdict(session.verdict)
                 after = session.verdict4
-                if after is not before:
+                if after is not was4:
                     # verdict transitions are per batch, not per event: the
                     # worker loop stays table-only and the ops plane still
                     # sees every state the *caller* could have observed.
                     stats.record_transition(
-                        before, after, monotonic() - session.opened_at
+                        was4, after, time.monotonic() - session.opened_at
                     )
                     if journal is not None:
                         journal.emit(
                             "rv.verdict_transition",
                             WARN if after.is_final else DEBUG,
                             session=repr(session.session_id),
-                            **{"from": before.value, "to": after.value,
+                            **{"from": was4.value, "to": after.value,
                                "events": session.position,
                                "wait": session.wait},
                         )
             if span is not None:
                 span.set(sessions=len(group), events=drained, steps=stepped)
+        return drained
 
     # -- queries ------------------------------------------------------------
 

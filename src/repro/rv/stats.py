@@ -1,25 +1,19 @@
-"""Engine observability — now a facade over the shared metric registry.
+"""Engine observability: a facade over the shared metric registry.
 
 The metric types live in :mod:`repro.obs.metrics` alone;
-:class:`EngineStats` is a thin facade that registers every engine
-measurement in the process-wide :data:`~repro.obs.metrics.REGISTRY`
-under ``repro_rv_*`` names with an ``engine`` label, one label set per
-engine instance.  Consequences:
+:class:`EngineStats` registers every engine measurement in the
+process-wide :data:`~repro.obs.metrics.REGISTRY` under ``repro_rv_*``
+names with an ``engine`` label, one label set per engine instance, so
+the numbers show in the registry's Prometheus and JSON exposition
+beside every other subsystem's.  Reads and writes both take the
+metrics' locks, and step latencies are log-bucketed (HDR-style, ~12%
+relative bucket width) over the whole run.
 
-* ``snapshot()`` keys are unchanged from PR 1 — dashboards and the
-  existing ``tests/rv`` suite work unmodified;
-* the same numbers are visible through the registry's Prometheus and
-  JSON exposition alongside every other subsystem's metrics;
-* reads are now locked (``Counter.value`` and ``Histogram.count`` in the
-  PR 1 version read shared state relying on CPython atomicity; the
-  registry metrics take the lock on both sides);
-* step latencies are log-bucketed (HDR-style) rather than a 4096-sample
-  sliding reservoir, so percentiles cover the whole run within ~12%
-  relative bucket width instead of exactly-but-only the recent window.
-
-The overhead budget is unchanged: one lock acquire and one add per
-recorded value, all charged per *drain* — one session advancing over
-its slice of a batch — never per event.
+The overhead budget: one fused lock acquire for the stepping counters
+and one histogram record, charged per *monitor group* of a batch (the
+sessions of one compiled monitor advancing over their slices), never
+per session or per event; only a session whose verdict moved adds its
+own verdict and transition records.
 """
 
 from __future__ import annotations
@@ -48,8 +42,8 @@ class EngineStats:
     * ``batches`` — ``ingest`` calls; ``drains`` — per-session drains
       (one per session touched by a batch);
     * ``verdicts`` — sessions *reaching* each definite verdict kind;
-    * ``step_latency`` — per-event seconds, sampled once per drain
-      (drain wall-time / events drained).
+    * ``step_latency`` — per-event seconds, sampled once per monitor
+      group of a batch (group wall-time / events the group drained).
 
     Cache hit/miss counters live on the :class:`~repro.rv.compile
     .CompileCache`; :meth:`snapshot` merges them when given the cache.
@@ -100,7 +94,7 @@ class EngineStats:
         }
         self.step_latency = registry.histogram(
             "repro_rv_step_latency_seconds",
-            "per-event drain latency (drain wall-time / events drained)",
+            "per-event drain latency (group wall-time / events drained)",
             ("engine",),
         ).labels(**label)
         # Four-valued verdict plane (PR 10): transitions are counted per
@@ -119,21 +113,23 @@ class EngineStats:
         )
         self._transition_counters: dict = {}
         self._verdict_latencies: dict = {}
-        # The drain loop updates these three together on every drain;
-        # fuse them under one lock so the hot path pays one acquire.
+        # The drain loop updates these three together once per monitor
+        # group; fuse them under one lock so it pays one acquire.
         self._drain_lock = share_lock(self.events, self.steps, self.drains)
 
-    def record_drain(self, pending: int, steps: int, elapsed: float) -> None:
-        """One session drain: ``pending`` events consumed, ``steps``
-        transitions taken, in ``elapsed`` seconds.  Single fused lock
-        acquire for the counters (see :func:`~repro.obs.metrics
-        .share_lock`) plus one histogram record."""
+    def record_drain(self, events: int, steps: int, sessions: int,
+                     elapsed: float) -> None:
+        """One monitor group drained: ``sessions`` sessions consumed
+        ``events`` events and took ``steps`` transitions in ``elapsed``
+        seconds.  Single fused lock acquire for the counters (see
+        :func:`~repro.obs.metrics.share_lock`) plus one histogram
+        record."""
         with self._drain_lock:
-            self.events._value += pending
+            self.events._value += events
             self.steps._value += steps
-            self.drains._value += 1
-        if pending:
-            self.step_latency.record(elapsed / pending)
+            self.drains._value += sessions
+        if events:
+            self.step_latency.record(elapsed / events)
 
     def record_verdict(self, verdict: Verdict3) -> None:
         self.verdicts[verdict].add()
@@ -173,10 +169,8 @@ class EngineStats:
         return out
 
     def snapshot(self, cache=None) -> dict:
-        """A plain-dict dashboard (stable keys; used by the example and
-        the benchmark report — the PR 1 keys unchanged, with the
-        four-valued ``verdicts4`` / ``verdict_latency_us`` beside them
-        since PR 10)."""
+        """A plain-dict dashboard with stable keys (the example and the
+        benchmark report read it)."""
         out = {
             "events": self.events.value,
             "steps": self.steps.value,

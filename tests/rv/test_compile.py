@@ -136,6 +136,34 @@ class TestCompileCache:
         info = cache.info()
         assert (info.hits, info.misses, info.size) == (0, 0, 0)
 
+    def test_memoized_key_skips_the_rewrites(self, monkeypatch):
+        """A re-parsed equal policy hits without simplifying again, and a
+        string alphabet shares the memo entry of its frozenset."""
+        import repro.rv.compile as compile_module
+
+        calls = []
+        simplify = compile_module.simplify
+        monkeypatch.setattr(compile_module, "simplify",
+                            lambda f: calls.append(f) or simplify(f))
+        cache = CompileCache()
+        first = cache.get(parse("G (a -> X b)"), "ab")
+        assert len(calls) == 1
+        assert cache.get(parse("G (a -> X b)"), frozenset("ab")) is first
+        assert len(calls) == 1
+        info = cache.info()
+        assert (info.hits, info.misses, info.size) == (1, 1, 1)
+        assert cache._canonical.cache_info().currsize == 1
+        cache.clear()
+        assert cache._canonical.cache_info().currsize == 0
+        cache.get(parse("G (a -> X b)"), "ab")
+        assert len(calls) == 2
+
+    def test_memo_is_bounded_by_maxsize(self):
+        cache = CompileCache(maxsize=2)
+        for spec in ("G a", "F b", "a U b", "!!(G a)", "GF a"):
+            cache.get(parse(spec), "ab")
+            assert cache._canonical.cache_info().currsize <= 2
+
     def test_compile_formula_uses_given_cache(self):
         cache = CompileCache()
         compile_formula(parse("G a"), "ab", cache)

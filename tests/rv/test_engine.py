@@ -5,13 +5,15 @@ rejection, stats, and the acceptance workload (100k events, ≥100 sessions, one
 distinct formula)."""
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ltl import RvMonitor, Verdict3, parse
-from repro.rv import CompileCache, RvEngine, SessionError
+from repro.ops.journal import DEBUG, WARN, EventJournal
+from repro.rv import CompileCache, RvEngine, SessionError, TraceSession, Verdict4
 
 from .test_verdicts import formulas, replay
 
@@ -67,6 +69,30 @@ class TestEngineBasics:
         engine.ingest([("s", "a"), ("t", "b")])
         assert engine.sessions.get("s").position == 1
         assert engine.sessions.get("t").position == 1
+
+    def test_unknown_id_takes_precedence_over_foreign_symbol(self):
+        """Whatever their order in the batch, an unknown session id is
+        reported before a foreign symbol, and nothing moves."""
+        engine = RvEngine(cache=_CACHE)
+        engine.open_session("s", parse("GF a"), "ab")
+        with pytest.raises(SessionError, match="unknown session"):
+            engine.ingest([("s", "a"), ("s", "z"), ("ghost", "a")])
+        assert engine.sessions.get("s").position == 0
+
+    def test_unhashable_event_is_outside_the_alphabet(self):
+        """An unhashable event is a foreign symbol, not a ``TypeError``:
+        the batch is rejected atomically, and the engine and a single
+        session word the error alike."""
+        engine = RvEngine(cache=_CACHE)
+        session = engine.open_session("s", parse("GF a"), "ab")
+        engine.open_session("t", parse("GF a"), "ab")
+        with pytest.raises(ValueError, match="outside the alphabet") as batch:
+            engine.ingest([("t", "a"), ("s", ["a"]), ("s", "b")])
+        with pytest.raises(ValueError) as single:
+            session.observe(["a"])
+        assert str(single.value) == str(batch.value)
+        for sid in ("s", "t"):
+            assert engine.sessions.get(sid).position == 0
 
     def test_drain_groups_share_one_table(self, recorder):
         """Touched sessions are grouped by their shared compiled monitor:
@@ -200,6 +226,98 @@ class TestEngineMatchesReplay:
                 assert session.verdict4 is expected.verdict4
                 assert session.position == len(trace)
                 assert session.max_wait == expected.max_wait
+
+
+TRANSITION_FIELDS = ("session", "from", "to", "events", "wait")
+
+
+def per_session_accounting(sessions: dict, batches) -> dict:
+    """The reference for the engine's group-level charging: route each
+    batch into per-session slices and monitor groups as the engine does,
+    then advance each session over its slice and book its drain, its
+    definite verdict and its four-valued transition one session at a
+    time."""
+    totals = Counter()
+    verdicts = {kind.value: 0 for kind in Verdict3}
+    verdicts4 = {kind.value: 0 for kind in Verdict4}
+    transitions = []
+    for batch in batches:
+        routed: dict = {}
+        for sid, event in batch:
+            routed.setdefault(sid, []).append(event)
+        if not routed:
+            continue
+        totals["batches"] += 1
+        groups: dict = {}
+        for sid, events in routed.items():
+            groups.setdefault(id(sessions[sid].monitor), []).append(
+                (sessions[sid], events))
+        totals["groups"] += len(groups)
+        for group in groups.values():
+            for session, events in group:
+                was_final, before = session.finalized, session.verdict4
+                totals["steps"] += session.advance(session.encode(events))
+                totals["events"] += len(events)
+                totals["drains"] += 1
+                if session.finalized and not was_final:
+                    verdicts[session.verdict.value] += 1
+                after = session.verdict4
+                if after is not before:
+                    verdicts4[after.value] += 1
+                    transitions.append((WARN if after.is_final else DEBUG,
+                                        repr(session.session_id),
+                                        before.value, after.value,
+                                        session.position, session.wait))
+    return {"totals": totals, "verdicts": verdicts, "verdicts4": verdicts4,
+            "transitions": transitions}
+
+
+class TestGroupAccounting:
+    @settings(max_examples=60, deadline=None)
+    @given(finitary_workloads(), st.sampled_from((0, 2)))
+    def test_group_charging_matches_per_session_reference(self, workload,
+                                                          workers):
+        """Charging the stepping counters once per monitor group, and
+        recording only the sessions whose verdict moved, books exactly
+        what the per-session loop books: the same snapshot totals, the
+        same journaled transitions, and one latency sample per group."""
+        assignments, stream, cuts = workload
+        bounds = [0, *cuts, len(stream)]
+        batches = [stream[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+        journal = EventJournal(min_level="debug")
+        with RvEngine(cache=_CACHE, workers=workers,
+                      journal=journal) as engine:
+            mirror = {}
+            for i, (formula, horizon) in enumerate(assignments):
+                session = engine.open_session(i, formula, "ab",
+                                              horizon=horizon)
+                mirror[i] = TraceSession(i, session.monitor, horizon=horizon)
+            for batch in batches:
+                engine.ingest(batch)
+            snapshot = engine.snapshot()
+            latency_samples = engine.stats.step_latency.count
+        expected = per_session_accounting(mirror, batches)
+        totals = expected["totals"]
+        for key in ("events", "steps", "drains", "batches"):
+            assert snapshot[key] == totals[key], key
+        assert snapshot["verdicts"] == expected["verdicts"]
+        assert snapshot["verdicts4"] == expected["verdicts4"]
+        assert latency_samples == totals["groups"]
+        journaled = [
+            (event.level,
+             *(dict(event.fields)[key] for key in TRANSITION_FIELDS))
+            for event in journal.events(name="rv.verdict_transition")
+        ]
+
+        def by_session(rows):
+            return {sid: [row for row in rows if row[1] == sid]
+                    for sid in {row[1] for row in rows}}
+
+        # the pool runs groups concurrently: only each session's own
+        # transitions keep their order there
+        assert by_session(journaled) == by_session(expected["transitions"])
+        if workers == 0:
+            assert journaled == expected["transitions"]
 
 
 class TestAcceptanceWorkload:
