@@ -72,7 +72,8 @@ class Formula:
         insertion order never matters.  Memoized on the instance with
         ``object.__setattr__``: ``==`` and ``hash`` read the dataclass
         fields only, and :meth:`__getstate__` leaves the memo out of
-        pickles."""
+        pickles.  Each formula class memoizes its ``hash`` the same way
+        (:func:`_formula`)."""
         key = self.__dict__.get("_canonical_key")
         if key is None:
             key = self._structural_key()
@@ -97,22 +98,46 @@ class Formula:
         return "ltl:" + digest(token(self))
 
     def __getstate__(self):
-        """Pickle the fields only, never the key memo, so a formula's
-        pickle is a function of its value."""
+        """Pickle the fields only, never the key or hash memo, so a
+        formula's pickle is a function of its value (a string's hash
+        differs across ``PYTHONHASHSEED``s, so a carried hash would be
+        wrong in another process)."""
         state = self.__dict__
-        if "_canonical_key" in state:
+        if not _MEMOS.isdisjoint(state):
             state = {name: value for name, value in state.items()
-                     if name != "_canonical_key"}
+                     if name not in _MEMOS}
         return state or None
 
 
-@dataclass(frozen=True)
+#: Per-instance memos kept out of ``==``, ``hash`` and pickles.
+_MEMOS = frozenset({"_canonical_key", "_hash"})
+
+
+def _formula(cls):
+    """A formula class: a frozen dataclass whose field hash is memoized
+    on the instance, as :class:`~repro.buchi.automaton.BuchiAutomaton`'s
+    is, so a formula used as a cache key hashes its tree once."""
+    cls = dataclass(frozen=True)(cls)
+    fields_hash = cls.__hash__
+
+    def __hash__(self) -> int:
+        cached = self.__dict__.get("_hash")
+        if cached is None:
+            cached = fields_hash(self)
+            object.__setattr__(self, "_hash", cached)
+        return cached
+
+    cls.__hash__ = __hash__
+    return cls
+
+
+@_formula
 class TrueFormula(Formula):
     def __str__(self) -> str:
         return "true"
 
 
-@dataclass(frozen=True)
+@_formula
 class FalseFormula(Formula):
     def __str__(self) -> str:
         return "false"
@@ -122,7 +147,7 @@ TRUE = TrueFormula()
 FALSE = FalseFormula()
 
 
-@dataclass(frozen=True)
+@_formula
 class Letter(Formula):
     """"The current symbol is one of ``letters``."""
 
@@ -142,7 +167,7 @@ def sym(letter) -> Letter:
     return Letter([letter])
 
 
-@dataclass(frozen=True)
+@_formula
 class Not(Formula):
     operand: Formula
 
@@ -153,7 +178,7 @@ class Not(Formula):
         return f"¬{_paren(self.operand)}"
 
 
-@dataclass(frozen=True)
+@_formula
 class And(Formula):
     left: Formula
     right: Formula
@@ -165,7 +190,7 @@ class And(Formula):
         return f"({self.left} ∧ {self.right})"
 
 
-@dataclass(frozen=True)
+@_formula
 class Or(Formula):
     left: Formula
     right: Formula
@@ -177,7 +202,7 @@ class Or(Formula):
         return f"({self.left} ∨ {self.right})"
 
 
-@dataclass(frozen=True)
+@_formula
 class Next(Formula):
     operand: Formula
 
@@ -188,7 +213,7 @@ class Next(Formula):
         return f"X {_paren(self.operand)}"
 
 
-@dataclass(frozen=True)
+@_formula
 class Until(Formula):
     left: Formula
     right: Formula
@@ -200,7 +225,7 @@ class Until(Formula):
         return f"({self.left} U {self.right})"
 
 
-@dataclass(frozen=True)
+@_formula
 class Release(Formula):
     left: Formula
     right: Formula

@@ -7,9 +7,8 @@ runs inline unless the pool is configured for parallelism *and* there is
 more than one unit of work, so single-group batches never pay executor
 overhead and ``workers=0`` degrades to a plain loop.  The service
 (:mod:`repro.service`) runs its cache misses and certificate replays on
-the same pool via :meth:`submit`; it serves cache hits on the submitting
-thread, in futures that :func:`resolved` — the helper behind the inline
-mode of :meth:`submit` — has already completed.
+the same pool via :meth:`submit`, and serves cache hits on the
+submitting thread without the pool.
 
 Two ops-plane duties ride on the pool:
 
@@ -38,18 +37,7 @@ from concurrent.futures import Future, ThreadPoolExecutor
 
 from repro.ops.journal import JOURNAL, WARN, EventJournal
 
-__all__ = ["WorkerPool", "resolved"]
-
-
-def resolved(fn: Callable, /, *args, **kwargs) -> Future:
-    """Run ``fn(*args, **kwargs)`` on the calling thread and return an
-    already-resolved future carrying its result or its exception."""
-    future: Future = Future()
-    try:
-        future.set_result(fn(*args, **kwargs))
-    except BaseException as exc:  # noqa: BLE001 — future carries it
-        future.set_exception(exc)
-    return future
+__all__ = ["WorkerPool"]
 
 
 class WorkerPool:
@@ -146,7 +134,12 @@ class WorkerPool:
         future is already resolved — callers get one execution model
         regardless of configuration."""
         if not self.parallel:
-            return resolved(fn, *args, **kwargs)
+            future: Future = Future()
+            try:
+                future.set_result(fn(*args, **kwargs))
+            except BaseException as exc:  # noqa: BLE001 — future carries it
+                future.set_exception(exc)
+            return future
         return self._ensure_executor().submit(self._carrying(fn, *args, **kwargs))
 
     # -- lifecycle ----------------------------------------------------------

@@ -36,6 +36,8 @@ Key-building rules (documented for users in DESIGN.md §8):
 
 from __future__ import annotations
 
+import functools
+
 from repro.analysis.classify import (
     classify_automaton,
     classify_element,
@@ -87,6 +89,15 @@ def _lattice_context_key(cl1, cl2, subject) -> str:
     return "latctx:" + digest(stable_token(context))
 
 
+@functools.lru_cache(maxsize=256)
+def _alphabet_digest(alphabet: frozenset) -> str:
+    """The digest of an alphabet's sorted symbol tokens, memoized: the
+    formula key is memoized on the formula, and a resent formula request
+    would otherwise re-sort and re-hash its alphabet every time.
+    Alphabets equal as sets share a digest."""
+    return digest(",".join(sorted(stable_token(a) for a in alphabet)))
+
+
 def _subject_key(request: Request) -> str | None:
     """The canonical key of the request's subject + context, or ``None``
     when the request is uncacheable."""
@@ -97,10 +108,8 @@ def _subject_key(request: Request) -> str | None:
         if request.alphabet is None:
             # Let compute() raise the facade's helpful TypeError.
             return None
-        alphabet_token = ",".join(
-            sorted(stable_token(a) for a in request.alphabet)
-        )
-        return subject.canonical_key() + "@" + digest(alphabet_token)
+        return (subject.canonical_key() + "@"
+                + _alphabet_digest(frozenset(request.alphabet)))
     if _is_rabin(subject):
         return subject.canonical_key()
     if request.closure is not None:

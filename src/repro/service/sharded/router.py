@@ -147,10 +147,12 @@ class _Shard:
     ``lock`` guards ``open``, ``ready`` and the frame-id tables
     (``inflight`` for requests, ``control`` for control futures) and is
     held across every write to ``proc.stdin``.  ``misses`` and ``remote``
-    belong to the health thread."""
+    belong to the health thread, ``replied`` (the shard's ``ok`` reply
+    counter, resolved on its first reply) to the reader thread."""
 
     __slots__ = ("index", "generation", "proc", "lock", "open", "ready",
-                 "inflight", "control", "remote", "misses", "reader")
+                 "inflight", "control", "remote", "misses", "reader",
+                 "replied")
 
     def __init__(self, index: int, generation: int, proc):
         self.index = index
@@ -164,6 +166,7 @@ class _Shard:
         self.remote: dict = {}
         self.misses = 0
         self.reader: threading.Thread | None = None
+        self.replied = None
 
     def send(self, frame_id: str, entry, frame: bytes) -> bool:
         """Register ``entry`` and write ``frame``; False (nothing
@@ -515,7 +518,11 @@ class ShardedService:
             except Exception as exc:  # noqa: BLE001 — surfaced on the caller's future
                 self._fail([entry], exc)
                 return
-            _REQUESTS.labels(shard=str(shard.index), outcome="ok").add()
+            replied = shard.replied
+            if replied is None:
+                replied = shard.replied = _REQUESTS.labels(
+                    shard=str(shard.index), outcome="ok")
+            replied.add()
             entry.future.set_result(result)
 
     # -- death, respawn, redelivery -----------------------------------------

@@ -160,3 +160,74 @@ class TestCanonicalKeyMemo:
         formula.canonical_key()
         assert "_canonical_key" not in vars(formula.left)
         assert formula.left.canonical_key() != formula.canonical_key()
+
+
+class TestHashMemo:
+    """``hash`` is memoized on the formula like its key, and the memo
+    rides in no pickle: a string's hash differs across
+    ``PYTHONHASHSEED``s, so a carried hash would be wrong elsewhere."""
+
+    FORMULAS = TestCanonicalKeyMemo.FORMULAS + ["{a,b} U X {b}"]
+
+    @pytest.mark.parametrize("text", FORMULAS)
+    def test_memo_is_the_field_hash_and_stays_out_of_pickles(self, text):
+        import pickle
+
+        from repro.ltl import parse
+
+        formula = parse(text)
+        before = pickle.dumps(formula)
+        digest = hash(formula)
+        assert vars(formula)["_hash"] == digest
+        assert hash(formula) == digest == hash(parse(text))
+        assert pickle.dumps(formula) == before
+        copy = pickle.loads(before)
+        assert "_hash" not in vars(copy)
+        assert copy == formula and hash(copy) == digest
+        assert {formula: 1}[parse(text)] == 1
+
+    def test_unequal_formulas_stay_unequal(self):
+        left, right = Until(sym("a"), sym("b")), Release(sym("a"), sym("b"))
+        hash(left), hash(right)
+        assert left != right
+        assert len({left, right, Until(sym("a"), sym("b"))}) == 2
+
+    def test_a_pickled_formula_hashes_afresh_under_another_seed(self):
+        import os
+        import pickle
+        import subprocess
+        import sys
+
+        import repro
+        from repro.ltl import parse
+
+        source = os.path.dirname(os.path.dirname(repro.__file__))
+        text = "G ({a,b} -> F c)"
+        formula = parse(text)
+        hash(formula)
+        probe = (
+            "import pickle, sys\n"
+            "from repro.ltl import parse\n"
+            "copy = pickle.loads(sys.stdin.buffer.read())\n"
+            f"assert hash(copy) == hash(parse({text!r}))\n"
+            f"assert {{copy: 1}}[parse({text!r})] == 1\n"
+        )
+        for seed in ("1", "2"):
+            subprocess.run(
+                [sys.executable, "-c", probe], input=pickle.dumps(formula),
+                env={**os.environ, "PYTHONHASHSEED": seed,
+                     "PYTHONPATH": source},
+                check=True, timeout=60,
+            )
+
+    def test_compile_cache_keys_carry_memoized_hashes(self):
+        from repro.rv.compile import CompileCache
+
+        cache = CompileCache()
+        policy = G(Or(Not(sym("a")), F(sym("b"))))
+        cache.get(policy, "ab")
+        assert "_hash" in vars(policy)
+        # the memoized canonical form is hashed once, not per hit
+        ((canonical, _alphabet),) = cache._entries
+        assert "_hash" in vars(canonical)
+        assert cache.get(policy, "ab") is cache.get(policy, "ab")
