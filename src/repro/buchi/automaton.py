@@ -33,6 +33,7 @@ from repro.automata.kernel import (
     reachable_mask,
     scc_masks,
 )
+from repro.canonical import canonical_int_key, stable_token
 from repro.omega.word import LassoWord, Symbol
 
 State = Hashable
@@ -363,10 +364,11 @@ class BuchiAutomaton:
         states (same alphabet, same transition structure, same
         initial/accepting marking) get the same key; automata with
         different structure get different keys.  Built on the canonical
-        labeling of :func:`repro.canonical.canonical_digraph_key` —
-        the key hashes the *full* renumbered transition relation, so
-        equal keys imply isomorphism, which is what makes it safe as a
-        memoization key in :mod:`repro.service` (DESIGN.md §8).
+        labeling of :func:`repro.canonical.canonical_int_key`, fed the
+        dense form's ints — the key hashes the *full* renumbered
+        transition relation, so equal keys imply isomorphism, which is
+        what makes it safe as a memoization key in :mod:`repro.service`
+        (DESIGN.md §8).
         Memoized on the instance beside the dense form, so it never rides
         in a pickle (:meth:`__getstate__`); a declined key
         (:class:`~repro.canonical.CanonicalizationError`) is not."""
@@ -377,28 +379,26 @@ class BuchiAutomaton:
         return key
 
     def _structural_key(self) -> str:
-        from repro.canonical import canonical_digraph_key, stable_token
-
+        """The dense core keyed in ints: colour ``2·initial + accepting``,
+        edge label the rank of the symbol's token in the alphabet's."""
         form = self.to_dense()
         core = form.core
-        colors = {
-            q: (q == core.initial, bool((core.accepting >> q) & 1))
-            for q in range(core.n_states)
-        }
-        edges = [
-            (symbol, q, r)
-            for a, symbol in enumerate(form.symbols)
-            for q in range(core.n_states)
-            for r in iter_bits(core.succ[a][q])
-        ]
-        return "buchi:" + canonical_digraph_key(
-            range(core.n_states),
-            colors,
+        tokens = [stable_token(a) for a in form.symbols]
+        table = sorted(tokens)
+        accepting = core.accepting
+        edges = []
+        for token, row in zip(tokens, core.succ):
+            label = table.index(token)
+            for q, mask in enumerate(row):
+                while mask:
+                    r = mask.bit_length() - 1
+                    edges.append((label, q, r))
+                    mask ^= 1 << r
+        return "buchi:" + canonical_int_key(
+            [2 * (q == core.initial) + (accepting >> q & 1)
+             for q in range(core.n_states)],
             edges,
-            graph_attrs=(
-                "buchi",
-                tuple(sorted(stable_token(a) for a in self.alphabet)),
-            ),
+            ("buchi", tuple(table)),
         )
 
     # -- the dense kernel bridge --------------------------------------------------

@@ -6,19 +6,26 @@ two automata (or lattices, or formulas) that differ only by a renaming
 of their states (or elements) must hit the same cache line, and two
 objects with different languages must not collide.  This module provides
 the one algorithm behind every ``canonical_key()`` method: canonical
-labeling of a node/edge-colored directed multigraph.
+labeling of a node/edge-colored directed multigraph.  It runs on ints
+(:func:`canonical_int_key`); :func:`canonical_digraph_key` is its front
+end for graphs over arbitrary hashables.
 
 The construction is the classic two-stage scheme (nauty in miniature,
 after McKay–Piperno), run on integers:
 
-0. **Ranks**: every node color and edge label is serialized once with
-   :func:`stable_token` and replaced by its rank among the sorted
-   distinct tokens.  Ranks depend only on the values, so they are
-   renaming-invariant; the two sorted token tables go into the digest,
-   so equal ranks mean equal values.
+0. **Ranks**: the core sees only int colours and labels, and a
+   ``tables`` tuple that says what they mean.  The front end serializes
+   every node color and edge label once with :func:`stable_token` and
+   replaces it by its rank among the sorted distinct tokens; a Büchi
+   automaton tokenizes only its alphabet, per call, and reads its
+   colours (``2·initial + accepting``) and edges off its dense form.
+   Ranks depend only on the values, so they are renaming-invariant; the
+   sorted token tables go into the digest, so equal ranks mean equal
+   values.  Tokens are never memoized by value: ``1``, ``1.0`` and
+   ``True`` are equal dict keys with distinct tokens.
 1. **Color refinement** (1-dimensional Weisfeiler–Leman): every node's
    new color is the rank of its signature — its color, then the sorted
-   ``(edge label, neighbor color)`` pairs over its out- and in-edges —
+   ``(direction, edge label, neighbor color)`` triples of its edges —
    among the distinct signatures, until the partition into color
    classes stabilizes.  Refinement is order-free, so the resulting
    partition is invariant under any renaming of the nodes.
@@ -37,7 +44,7 @@ after McKay–Piperno), run on integers:
    uncacheable key — a cache miss, never a wrong answer).
 3. **Declined graphs are remembered**: a budget failure is recorded
    under a renaming-invariant digest of what is known before the search
-   (``graph_attrs``, the token tables, the sizes and base colours of the
+   (the tables, the sizes and base colours of the
    first stable partition's cells, the edge counts between cells, and
    the budget), in a bounded memo.  A later graph with the same digest
    is declined at once, without searching.  A non-isomorphic graph that
@@ -48,9 +55,10 @@ The canonical *encoding* lists every node's original color rank and
 every edge under the canonical numbering, so equal keys imply
 isomorphic inputs (no WL false merges: WL only steers the ordering, the
 full structure is what gets hashed).  The key is one :func:`digest`
-over the ``graph_attrs`` token, the two token tables and ``repr`` of the
-encoding (``repr`` of nested int tuples is injective); nothing is hashed
-per node or per round.
+over ``repr`` of the tables and the encoding (``repr`` of nested tuples
+of strings and ints is injective); the declined digest hashes a tuple
+tagged ``"declined"``, so the two never meet.  Nothing is hashed per
+node or per round.
 """
 
 from __future__ import annotations
@@ -63,6 +71,7 @@ from collections.abc import Iterable, Mapping
 __all__ = [
     "CanonicalizationError",
     "canonical_digraph_key",
+    "canonical_int_key",
     "digest",
     "stable_token",
 ]
@@ -150,60 +159,59 @@ def _ranks(values: list) -> list[int]:
     return [rank[value] for value in values]
 
 
-def _refine(colors: list[int], out_edges: list[list[tuple[int, int]]],
-            in_edges: list[list[tuple[int, int]]]) -> list[int]:
+def _refine(colors: list[int],
+            scaled: list[tuple[int, int, int, int]]) -> list[int]:
     """Run WL colour refinement to a fixpoint and return the final colours.
 
-    Edges carry their label pre-scaled past every colour, so ``label +
-    colour`` names a ``(label, neighbour colour)`` pair as one int.  A
+    ``scaled`` holds each edge as ``(out label, in label, src, dst)``,
+    the labels pre-scaled past every colour, so ``label + colour`` names
+    a ``(direction, label, neighbour colour)`` triple as one int.  A
     node's new colour is the rank of its signature: its colour, then the
-    sorted pair ints of its out- and in-edges.  The signature leads with
-    the old colour, so the new colours refine the old ones and keep their
-    order; a discrete partition is already the fixpoint."""
+    sorted triple ints of its edges, as one flat tuple.  The signature
+    leads with the old colour, so the new colours refine the old ones
+    and keep their order; a discrete partition is already the
+    fixpoint."""
     n = len(colors)
     classes = len(set(colors))
     while True:
-        new_colors = _ranks([
-            (
-                colors[v],
-                tuple(sorted([label + colors[u] for label, u in out_edges[v]])),
-                tuple(sorted([label + colors[u] for label, u in in_edges[v]])),
-            )
-            for v in range(n)
-        ])
+        incident: list[list[int]] = [[] for _ in range(n)]
+        for out_label, in_label, src, dst in scaled:
+            incident[src].append(out_label + colors[dst])
+            incident[dst].append(in_label + colors[src])
+        new_colors = _ranks([(color, *sorted(ints))
+                             for color, ints in zip(colors, incident)])
         new_classes = max(new_colors) + 1
         if new_classes in (classes, n):
             return new_colors
         colors, classes = new_colors, new_classes
 
 
-def _swap_is_automorphism(u: int, w: int, out_edges, in_edges) -> bool:
+def _swap_is_automorphism(u: int, w: int, edges) -> bool:
     """Whether exchanging ``u`` and ``w`` (of equal colour) maps the edge
     multiset onto itself.  Only edges at ``u`` or ``w`` move, so it is
-    enough that ``u``'s out- and in-edges, with ``u`` and ``w`` swapped
-    at the far end, are exactly ``w``'s."""
+    enough that those edges, with ``u`` and ``w`` swapped, are the same
+    multiset."""
     def swap(x: int) -> int:
         return w if x == u else u if x == w else x
 
-    return (
-        sorted([(label, swap(x)) for label, x in out_edges[u]])
-        == sorted(out_edges[w])
-        and sorted([(label, swap(x)) for label, x in in_edges[u]])
-        == sorted(in_edges[w])
-    )
+    ends = (u, w)
+    moved = [edge for edge in edges if edge[1] in ends or edge[2] in ends]
+    return (sorted(moved)
+            == sorted([(label, swap(src), swap(dst))
+                       for label, src, dst in moved]))
 
 
-def _encode(order: list[int], base_colors: list[int],
+def _encode(position: list[int], base_colors: list[int],
             edges: list[tuple[int, int, int]]) -> tuple:
-    """The canonical encoding under a total node order: original colours
-    in canonical position, then the sorted renumbered edges, each as the
-    int ``(label * n + src) * n + dst``."""
-    n = len(order)
-    position = [0] * n
-    for i, node in enumerate(order):
-        position[node] = i
+    """The canonical encoding with node ``v`` at ``position[v]``:
+    original colours in canonical position, then the sorted renumbered
+    edges, each as the int ``(label * n + src) * n + dst``."""
+    n = len(position)
+    colors = [0] * n
+    for v, i in enumerate(position):
+        colors[i] = base_colors[v]
     return (
-        tuple([base_colors[node] for node in order]),
+        tuple(colors),
         tuple(sorted([(label * n + position[src]) * n + position[dst]
                       for label, src, dst in edges])),
     )
@@ -211,19 +219,19 @@ def _encode(order: list[int], base_colors: list[int],
 
 def _canonical_encoding(colors: list[int], base_colors: list[int],
                         edges: list[tuple[int, int, int]],
-                        out_edges, in_edges, budget: list[int]) -> tuple:
+                        scaled, budget: list[int]) -> tuple:
     """The minimum leaf encoding below ``colors``, a stable partition."""
     n = len(colors)
-    members: list[list[int]] = [[] for _ in range(n)]
-    for v, color in enumerate(colors):
-        members[color].append(v)
-    target = next((cell for cell in members if len(cell) > 1), None)
-    if target is None:
-        # discrete: the colours are 0..n-1, so they *are* the order
+    if max(colors) + 1 == n:
+        # discrete: the colours are 0..n-1, so they *are* the positions
         budget[0] -= 1
         if budget[0] < 0:
             raise CanonicalizationError("individualization budget exceeded")
-        return _encode([cell[0] for cell in members], base_colors, edges)
+        return _encode(colors, base_colors, edges)
+    members: list[list[int]] = [[] for _ in range(n)]
+    for v, color in enumerate(colors):
+        members[color].append(v)
+    target = next(cell for cell in members if len(cell) > 1)
     # Individualize each member of the first tied class (colour n is
     # fresh: refined colours are ranks below n); keep the minimum.  A
     # member that some already-branched member can be swapped with by an
@@ -232,15 +240,14 @@ def _canonical_encoding(colors: list[int], base_colors: list[int],
     best = None
     branched: list[int] = []
     for v in target:
-        if any(_swap_is_automorphism(b, v, out_edges, in_edges)
-               for b in branched):
+        if any(_swap_is_automorphism(b, v, edges) for b in branched):
             continue
         branched.append(v)
         individualized = list(colors)
         individualized[v] = n
         encoding = _canonical_encoding(
-            _refine(individualized, out_edges, in_edges),
-            base_colors, edges, out_edges, in_edges, budget,
+            _refine(individualized, scaled),
+            base_colors, edges, scaled, budget,
         )
         if best is None or encoding < best:
             best = encoding
@@ -292,46 +299,58 @@ def canonical_digraph_key(
 
     Returns a hex digest.  Equal keys imply color/edge-isomorphic inputs
     with equal ``graph_attrs``; renaming the nodes never changes the key.
+    The graph is tokenized here and keyed by :func:`canonical_int_key`.
     """
     node_list = list(nodes)
-    n = len(node_list)
-    # dense-core callers pass nodes 0..n-1 already; skip the index dict
-    # (the key is renaming-invariant either way)
-    if node_list == list(range(n)):
-        index = None
-    else:
-        index = {node: i for i, node in enumerate(node_list)}
-    # Each colour and label is tokenized once, then replaced by its rank
-    # among the distinct tokens; the two sorted token tables go into the
-    # digest, so the ranks stand for the values.  Tokens are never
-    # memoized by value: 1, 1.0 and True are equal dict keys.
+    index = {node: i for i, node in enumerate(node_list)}
+    # each colour and label is tokenized once and replaced by its rank;
+    # the sorted token tables give the ranks their meaning
     color_tokens = [stable_token(colors.get(node)) for node in node_list]
     edge_list = list(edges)
     label_tokens = [stable_token(label) for label, _, _ in edge_list]
-    if index is not None:
-        edge_list = [(label, index[src], index[dst])
-                     for label, src, dst in edge_list]
-    base_colors = _ranks(color_tokens)
-    # refinement colours stay at most n (the individualized colour), so
-    # label * (n + 1) + colour is one int per (label, colour) pair
-    out_edges: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    in_edges: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    ranked: list[tuple[int, int, int]] = []
-    for label, (_, src, dst) in zip(_ranks(label_tokens), edge_list):
-        ranked.append((label, src, dst))
-        out_edges[src].append((label * (n + 1), dst))
-        in_edges[dst].append((label * (n + 1), src))
-    attrs = tuple(graph_attrs)
-    color_table = tuple(sorted(set(color_tokens)))
-    label_table = tuple(sorted(set(label_tokens)))
+    return canonical_int_key(
+        _ranks(color_tokens),
+        [(label, index[src], index[dst])
+         for label, (_, src, dst) in zip(_ranks(label_tokens), edge_list)],
+        (stable_token(tuple(graph_attrs)),
+         tuple(sorted(set(color_tokens))),
+         tuple(sorted(set(label_tokens)))),
+        budget=budget,
+    )
+
+
+def canonical_int_key(
+    base_colors: list[int],
+    edges: list[tuple[int, int, int]],
+    tables: tuple,
+    *,
+    budget: int = DEFAULT_BUDGET,
+) -> str:
+    """The canonical key of a graph on nodes ``0..n-1`` given in ints.
+
+    ``base_colors[v]`` is node ``v``'s colour and ``edges`` are ``(label,
+    src, dst)`` triples, all non-negative ints whose meaning must not
+    depend on the numbering of the nodes.  ``tables`` (nested tuples of
+    strings) says what the ints mean — the token tables they rank, and
+    what kind of graph this is — and is hashed into the key, so equal
+    keys imply isomorphic graphs under equal tables.
+    """
+    n = len(base_colors)
+    # refinement colours stay below scale (n is the individualized
+    # colour), so label * scale + colour is one non-negative int per
+    # (out-edge label, colour) pair and -(label + 1) * scale + colour one
+    # negative int per (in-edge label, colour) pair
+    scale = max(n, max(base_colors, default=0)) + 1
+    scaled = [(label * scale, -(label + 1) * scale, src, dst)
+              for label, src, dst in edges]
     encoding = ()
     if n:
-        colors = _refine(base_colors, out_edges, in_edges)
+        colors = _refine(base_colors, scaled)
         declined = None
         if max(colors) + 1 < n:  # a search ahead: has it failed before?
             declined = digest(repr((
-                stable_token(attrs), color_table, label_table,
-                _partition_invariant(colors, base_colors, ranked), budget,
+                "declined", tables,
+                _partition_invariant(colors, base_colors, edges), budget,
             )))
             if declined in _DECLINED:
                 raise CanonicalizationError(
@@ -340,15 +359,10 @@ def canonical_digraph_key(
                 )
         try:
             encoding = _canonical_encoding(
-                colors, base_colors, ranked, out_edges, in_edges, [budget]
+                colors, base_colors, edges, scaled, [budget]
             )
         except CanonicalizationError:
             if declined is not None:
                 _DECLINED.add(declined)
             raise
-    return digest(stable_token((
-        attrs,
-        color_table,
-        label_table,
-        repr(encoding),
-    )))
+    return digest(repr((tables, encoding)))

@@ -90,11 +90,14 @@ def _lattice_context_key(cl1, cl2, subject) -> str:
 
 
 @functools.lru_cache(maxsize=256)
-def _alphabet_digest(alphabet: frozenset) -> str:
-    """The digest of an alphabet's sorted symbol tokens, memoized: the
-    formula key is memoized on the formula, and a resent formula request
-    would otherwise re-sort and re-hash its alphabet every time.
-    Alphabets equal as sets share a digest."""
+def _alphabet_digest(alphabet: frozenset, identity: int) -> str:
+    """The digest of an alphabet's sorted symbol tokens, memoized per
+    alphabet *object* (``identity`` is its ``id``): the formula key is
+    memoized on the formula, and a resent formula request would
+    otherwise re-sort and re-hash its alphabet every time.  Never by
+    value alone: ``{1, "a"}`` and ``{True, "a"}`` are equal sets with
+    different tokens.  The entry holds its alphabet, so no other object
+    takes that id while the entry lives."""
     return digest(",".join(sorted(stable_token(a) for a in alphabet)))
 
 
@@ -108,8 +111,9 @@ def _subject_key(request: Request) -> str | None:
         if request.alphabet is None:
             # Let compute() raise the facade's helpful TypeError.
             return None
+        alphabet = frozenset(request.alphabet)
         return (subject.canonical_key() + "@"
-                + _alphabet_digest(frozenset(request.alphabet)))
+                + _alphabet_digest(alphabet, id(alphabet)))
     if _is_rabin(subject):
         return subject.canonical_key()
     if request.closure is not None:

@@ -1,7 +1,7 @@
 """Keys decide isomorphism: equal keys exactly when a brute-force search
 finds a renaming, renamed copies keep their key in every domain, token
-look-alikes (``1``/``True``) stay apart, and twin states do not blow the
-individualization budget."""
+look-alikes (``1``/``True``) stay apart, a key does not depend on the
+hash seed, and twin states do not blow the individualization budget."""
 
 import random
 from itertools import permutations
@@ -21,15 +21,15 @@ from repro.service import Client
 SYMBOLS = ("a", "b")
 
 
-def build(n, initial, accepting, edges, names=None):
-    """A Büchi automaton over ``ab`` from plain data; ``names`` renames
-    state ``q`` to ``names[q]`` (identity when omitted)."""
+def build(n, initial, accepting, edges, names=None, alphabet="ab"):
+    """A Büchi automaton from plain data; ``names`` renames state ``q``
+    to ``names[q]`` (identity when omitted)."""
     name = (lambda q: q) if names is None else names.__getitem__
     transitions: dict = {}
     for q, a, r in edges:
         transitions.setdefault((name(q), a), []).append(name(r))
     return BuchiAutomaton.build(
-        alphabet="ab",
+        alphabet=alphabet,
         states=[name(q) for q in range(n)],
         initial=name(initial),
         transitions=transitions,
@@ -94,6 +94,40 @@ def buchi_pairs(draw):
     return x, y
 
 
+#: Symbols of three token kinds; an alphabet is a prefix of 1-3 of them.
+MIXED = ("a", 1, ("t", 2))
+
+
+@st.composite
+def sparse_buchi(draw):
+    """At most 6 states over 1-3 symbols, any initial state, few edges:
+    some states are unreachable, some isolated (no edge at all)."""
+    symbols = MIXED[:draw(st.integers(1, 3))]
+    n = draw(st.integers(1, 6))
+    states = st.integers(0, n - 1)
+    edges = set(draw(st.lists(
+        st.tuples(states, st.sampled_from(symbols), states), max_size=2 * n)))
+    accepting = set(draw(st.lists(states, max_size=n)))
+    return symbols, (n, draw(states), accepting, edges)
+
+
+@st.composite
+def sparse_pairs(draw):
+    """Two sparse automata: independent, or a renamed copy with one edge
+    toggled or not."""
+    symbols, x = draw(sparse_buchi())
+    if draw(st.booleans()):
+        other, y = draw(sparse_buchi())
+        return (symbols, x), (other, y)
+    n = x[0]
+    y = renamed(x, draw(st.permutations(range(n))))
+    if draw(st.booleans()):
+        edge = (draw(st.integers(0, n - 1)), draw(st.sampled_from(symbols)),
+                draw(st.integers(0, n - 1)))
+        y = (y[0], y[1], y[2], y[3] ^ {edge})
+    return (symbols, x), (symbols, y)
+
+
 class TestKeysDecideIsomorphism:
     @settings(max_examples=300, deadline=None)
     @given(buchi_pairs())
@@ -101,6 +135,14 @@ class TestKeysDecideIsomorphism:
         x, y = pair
         same_key = build(*x).canonical_key() == build(*y).canonical_key()
         assert same_key == isomorphic(x, y)
+
+    @settings(max_examples=300, deadline=None)
+    @given(sparse_pairs())
+    def test_mixed_alphabets_and_unreachable_states(self, pair):
+        (symbols_x, x), (symbols_y, y) = pair
+        same_key = (build(*x, alphabet=symbols_x).canonical_key()
+                    == build(*y, alphabet=symbols_y).canonical_key())
+        assert same_key == (symbols_x == symbols_y and isomorphic(x, y))
 
 
 class TestRenamingKeepsKey:
@@ -184,6 +226,55 @@ class TestTokenCollisions:
         colors = {0: "q", 1: "q"}
         assert canonical_digraph_key([0, 1], colors, [((1,), 0, 1)]) != \
             canonical_digraph_key([0, 1], colors, [((True,), 0, 1)])
+
+    @staticmethod
+    def loops(alphabet):
+        # one accepting state with a self-loop on every symbol
+        return BuchiAutomaton.build(
+            alphabet, ["q"], "q", {("q", a): ["q"] for a in alphabet}, ["q"])
+
+    def test_buchi_alphabets_int_and_bool(self):
+        assert self.loops({1, "a"}).canonical_key() != \
+            self.loops({True, "a"}).canonical_key()
+
+    def test_buchi_alphabets_nesting_int_and_bool(self):
+        assert self.loops({(1,)}).canonical_key() != \
+            self.loops({(True,)}).canonical_key()
+
+
+class TestHashSeeds:
+    """Router and shard key in different processes, so a key must not
+    depend on ``PYTHONHASHSEED`` (which orders sets of strings)."""
+
+    def test_buchi_key_is_the_same_under_two_seeds(self):
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        source = os.path.dirname(os.path.dirname(repro.__file__))
+        probe = (
+            "from repro.buchi import BuchiAutomaton\n"
+            "symbols = ['a', 'bb', 1, ('t', 2)]\n"
+            "states = [f's{i}' for i in range(5)]\n"
+            "print(BuchiAutomaton.build(\n"
+            "    symbols, states, 's0',\n"
+            "    {(q, a): [states[(i * j + 1) % 5], states[(i + j) % 5]]\n"
+            "     for i, q in enumerate(states)\n"
+            "     for j, a in enumerate(symbols) if (i + j) % 3},\n"
+            "    ['s1', 's4']).canonical_key())\n"
+        )
+        keys = {
+            subprocess.run(
+                [sys.executable, "-c", probe], capture_output=True, text=True,
+                env={**os.environ, "PYTHONHASHSEED": seed,
+                     "PYTHONPATH": source},
+                check=True, timeout=60,
+            ).stdout
+            for seed in ("1", "2")
+        }
+        assert len(keys) == 1 and next(iter(keys)).startswith("buchi:")
 
 
 class TestTwins:

@@ -286,6 +286,19 @@ class TestHitAccounting:
     def test_the_alphabet_memo_is_bounded(self):
         assert handlers._alphabet_digest.cache_info().maxsize is not None
 
+    def test_alphabet_keys_do_not_depend_on_what_was_keyed_first(self):
+        # {1, "a"} == {True, "a"} as sets, but their tokens differ
+        def key(alphabet):
+            return handlers.cache_key(
+                DecomposeRequest(parse("G a"), alphabet=alphabet))
+
+        handlers._alphabet_digest.cache_clear()
+        fresh = key({True, "a"})
+        handlers._alphabet_digest.cache_clear()
+        ints = key(frozenset({1, "a"}))
+        assert key({True, "a"}) == fresh != ints
+        assert key(frozenset({1, "a"})) == ints
+
     def test_a_hit_runs_nothing_current_and_records_its_root(self,
                                                              recorder):
         with warmed() as service:
