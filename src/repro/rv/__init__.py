@@ -20,8 +20,8 @@ the traffic.  Layering (each layer only knows the one below):
   :class:`WorkerPool` (also runs :mod:`repro.service` cache misses and
   certificate replays);
 * :mod:`repro.rv.engine` — batched ingest (route and encode in one
-  pass, then advance), monitor-grouped dispatch over the pool, stats
-  charged per group, verdict-transition recording (:class:`RvEngine`);
+  pass, then advance), monitor-grouped stepping over the pool, stats
+  and verdict transitions charged once per batch (:class:`RvEngine`);
 * :mod:`repro.rv.stats` — the engine's measurements
   (:class:`EngineStats`), a facade over the shared :mod:`repro.obs`
   metric registry (``repro_rv_*`` families with an ``engine`` label,

@@ -16,11 +16,12 @@ batch is:
    inline (``workers ≤ 1``), so a worker's inner loop stays on one
    transition table (cache-friendly, and the natural sharding unit),
    each session advancing over its slice (:meth:`TraceSession.advance
-   <repro.rv.session.TraceSession.advance>`, the one stepping loop) and
-   the stats charged once per group.  Workers never share a session, so
-   the result is deterministic: identical to feeding sessions one event
-   at a time, which the test suite checks against the reference
-   :class:`~repro.ltl.monitoring.RvMonitor` verdict for verdict.
+   <repro.rv.session.TraceSession.advance>`, the one stepping loop).
+   Workers never share a session, so the result is deterministic:
+   identical to feeding sessions one event at a time, which the test
+   suite checks against :class:`~repro.ltl.monitoring.RvMonitor`;
+3. *charged* — once per batch, on the ingesting thread: one timed stats
+   record, then the moved sessions' verdict transitions in group order.
 
 Python threads don't parallelize the pure-Python table loop (the GIL),
 but the pool keeps the engine's shape honest — grouping, isolation and
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 import time
 from collections.abc import Iterable
+from itertools import chain
 from contextlib import nullcontext
 
 from repro.ltl.monitoring import Verdict3
@@ -43,8 +45,11 @@ from .compile import CompileCache, MonitorTable, outside_alphabet
 from .pool import WorkerPool
 from .session import SessionManager, TraceSession
 from .stats import EngineStats
+from .verdicts import BY_SEVERITY, SEVERITY_NAMES
 
 _NO_SPAN = nullcontext()
+#: Journal level of a transition into each severity.
+_LEVELS = tuple(WARN if verdict.is_final else DEBUG for verdict in BY_SEVERITY)
 
 
 class RvEngine:
@@ -54,10 +59,10 @@ class RvEngine:
     (overridable per session in :meth:`open_session`); ``None`` keeps
     waits unbounded.  Four-valued verdict transitions crossing a batch
     are recorded in the stats plane (``repro_rv_verdict_*`` families)
-    and journaled as ``rv.verdict_transition`` events — severe
-    destinations (safety falsified, liveness bound exceeded) at WARN,
-    the chatty satisfied/inconclusive flips at DEBUG, matching the
-    journal's access-log level convention.
+    and, unless the journal's ``min_level`` drops them, journaled as
+    ``rv.verdict_transition`` events — severe destinations (safety
+    falsified, liveness bound exceeded) at WARN, the chatty flips at
+    DEBUG, matching the journal's access-log level convention.
 
     While :data:`~repro.obs.trace.RECORDER` records, each batch is an
     ``rv.ingest`` :class:`~repro.obs.trace.Span` with one
@@ -142,56 +147,58 @@ class RvEngine:
                 raise outside_alphabet(event) from None
         if not routed:
             return {}
-        drained = sum(self.pool.map(self._drain_group, list(groups.values())))
+        start = time.perf_counter()
+        drained, stepped, moved = zip(*self.pool.map(
+            self._drain_group, list(groups.values())))
+        drained = sum(drained)
+        stats, journal = self.stats, self.journal
+        stats.record_drain(drained, sum(stepped), len(routed),
+                           time.perf_counter() - start)
+        # per batch, not per event: stepping stays table-only, and the ops
+        # plane still sees every state the *caller* could have observed
+        for session, was3, was4 in chain.from_iterable(moved):
+            verdict3, severity = session._verdict, session._severity
+            if verdict3 is not was3:
+                stats.record_verdict(verdict3)
+            if severity == was4:
+                continue
+            stats.record_transition(was4, severity,
+                                    time.monotonic() - session.opened_at)
+            level = _LEVELS[severity]
+            if journal is not None and level >= journal.min_level:
+                journal.emit("rv.verdict_transition", level,
+                             session=repr(session.session_id),
+                             **{"from": SEVERITY_NAMES[was4],
+                                "to": SEVERITY_NAMES[severity],
+                                "events": session.position,
+                                "wait": session.wait})
         if span is not None:
             span.set(events=drained, sessions=len(routed), groups=len(groups))
-        self.stats.batches.add()
-        return {sid: slot[0].verdict for sid, slot in routed.items()}
+        return {sid: slot[0]._verdict for sid, slot in routed.items()}
 
     def _drain_group(self, group: list[tuple[TraceSession, list[int]]]
-                     ) -> int:
+                     ) -> tuple[int, int, list]:
         """Advance one monitor group's sessions over their encoded
         slices — on a pool thread when parallel, in the ingest span's
-        context either way — charging the group's stats once and each
-        session whose verdict moved; returns the events drained."""
+        context either way; returns the events drained, the table steps
+        and each moved session with its verdicts before the batch."""
         with (Span("rv.drain_group") if RECORDER.recording
               else _NO_SPAN) as span:
             drained = stepped = 0
             moved = []
-            start = time.perf_counter()
             for session, indices in group:
-                # ``_verdict``: the slot costs one call less than ``verdict``
-                before = session._verdict, session.verdict4
-                stepped += session.advance(indices)
+                # the slots cost one call less than the properties
+                was3, was4 = session._verdict, session._severity
+                steps = session.advance(indices)
                 drained += len(indices)
-                if (session._verdict, session.verdict4) != before:
-                    moved.append((session, before))
-            stats, journal = self.stats, self.journal
-            stats.record_drain(drained, stepped, len(group),
-                               time.perf_counter() - start)
-            for session, (was3, was4) in moved:
-                if session.verdict is not was3:
-                    stats.record_verdict(session.verdict)
-                after = session.verdict4
-                if after is not was4:
-                    # verdict transitions are per batch, not per event: the
-                    # worker loop stays table-only and the ops plane still
-                    # sees every state the *caller* could have observed.
-                    stats.record_transition(
-                        was4, after, time.monotonic() - session.opened_at
-                    )
-                    if journal is not None:
-                        journal.emit(
-                            "rv.verdict_transition",
-                            WARN if after.is_final else DEBUG,
-                            session=repr(session.session_id),
-                            **{"from": was4.value, "to": after.value,
-                               "events": session.position,
-                               "wait": session.wait},
-                        )
+                stepped += steps
+                # a session that took no step cannot have moved
+                if steps and (session._verdict is not was3
+                              or session._severity != was4):
+                    moved.append((session, was3, was4))
             if span is not None:
                 span.set(sessions=len(group), events=drained, steps=stepped)
-        return drained
+        return drained, stepped, moved
 
     # -- queries ------------------------------------------------------------
 

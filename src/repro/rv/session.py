@@ -17,7 +17,8 @@ A session carries *two* verdicts side by side:
   conjunct's bound tracker: the session counts events since its last
   *good edge*, and under a finitary ``horizon`` an exceeded wait
   latches ``LIVENESS_BOUND_EXCEEDED`` forever (Chatterjee–Fijalkow:
-  the bound is a safety property of the prefix).
+  the bound is a safety property of the prefix).  It is kept as an int
+  severity, resolved wherever the session is reset or stepped.
 
 :meth:`TraceSession.advance` is the only stepping loop: it moves both
 tables in lockstep over table indices.  :meth:`TraceSession.encode`
@@ -46,14 +47,21 @@ from collections.abc import Iterable, Iterator, Sequence
 from repro.ltl.monitoring import Verdict3
 
 from .compile import DecomposedMonitor, outside_alphabet
-from .verdicts import MonitorOutcome, Verdict4
+from .verdicts import BY_SEVERITY, MonitorOutcome, Verdict4
 
 
 #: An enum member read through its class costs ~0.1 µs on CPython 3.11.
 _TRUE, _FALSE, _UNKNOWN = Verdict3.TRUE, Verdict3.FALSE, Verdict3.UNKNOWN
-_FALSIFIED, _EXCEEDED, _SATISFIED, _INCONCLUSIVE = (
-    Verdict4.FALSIFIED_SAFETY, Verdict4.LIVENESS_BOUND_EXCEEDED,
-    Verdict4.SATISFIED_SO_FAR, Verdict4.INCONCLUSIVE)
+
+
+def _resolve(verdict3: Verdict3, latched: bool, wait: int) -> int:
+    """The four-valued verdict's severity: a falsified safety conjunct
+    dominates, then the latch, then nothing outstanding (TRUE, wait 0)."""
+    if verdict3 is _FALSE:
+        return 3
+    if latched:
+        return 2
+    return 1 if verdict3 is _TRUE or wait == 0 else 0
 
 
 class BackpressureError(RuntimeError):
@@ -77,7 +85,7 @@ class TraceSession:
 
     __slots__ = ("session_id", "monitor", "max_pending", "horizon", "opened_at",
                  "_state", "_verdict", "_events", "_pending",
-                 "_tstate", "_wait", "_max_wait", "_latched")
+                 "_tstate", "_wait", "_max_wait", "_latched", "_severity")
 
     def __init__(self, session_id, monitor: DecomposedMonitor,
                  max_pending: int = 1024, horizon: int | None = None):
@@ -100,6 +108,7 @@ class TraceSession:
         self._wait = 0
         self._max_wait = 0
         self._latched = False
+        self._severity = _resolve(self._verdict, False, 0)
 
     @property
     def verdict(self) -> Verdict3:
@@ -107,16 +116,8 @@ class TraceSession:
 
     @property
     def verdict4(self) -> Verdict4:
-        """The four-valued verdict, resolved in severity order: a
-        falsified safety conjunct dominates, then the liveness latch,
-        then "nothing outstanding" (definitively satisfied, or wait 0)."""
-        if self._verdict is _FALSE:
-            return _FALSIFIED
-        if self._latched:
-            return _EXCEEDED
-        if self._verdict is _TRUE or self._wait == 0:
-            return _SATISFIED
-        return _INCONCLUSIVE
+        """The four-valued verdict (kept as its severity)."""
+        return BY_SEVERITY[self._severity]
 
     @property
     def wait(self) -> int:
@@ -209,6 +210,7 @@ class TraceSession:
             self._state, self._verdict = state, verdict
             self._tstate, self._wait, self._max_wait = tstate, wait, max_wait
             self._latched = latched
+            self._severity = _resolve(verdict, latched, wait)
         self._events += len(indices)
         return steps
 

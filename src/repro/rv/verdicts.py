@@ -42,7 +42,8 @@ from types import MappingProxyType
 
 from repro.ltl.monitoring import Verdict3
 
-__all__ = ["Verdict4", "MonitorOutcome", "SEVERITY", "most_severe"]
+__all__ = ["Verdict4", "MonitorOutcome", "SEVERITY", "BY_SEVERITY",
+           "SEVERITY_NAMES", "most_severe"]
 
 
 class Verdict4(Enum):
@@ -52,11 +53,6 @@ class Verdict4(Enum):
     LIVENESS_BOUND_EXCEEDED = "liveness_bound_exceeded"
     SATISFIED_SO_FAR = "satisfied_so_far"
     INCONCLUSIVE = "inconclusive"
-
-    @property
-    def severity(self) -> int:
-        """Alert precedence (higher = worse); see :data:`SEVERITY`."""
-        return SEVERITY[self]
 
     @property
     def is_final(self) -> bool:
@@ -80,14 +76,13 @@ class Verdict4(Enum):
         return Verdict3.UNKNOWN
 
 
-#: Alert precedence: a session's reported verdict is the most severe
-#: verdict its two conjunct trackers justify.
-SEVERITY = MappingProxyType({
-    Verdict4.INCONCLUSIVE: 0,
-    Verdict4.SATISFIED_SO_FAR: 1,
-    Verdict4.LIVENESS_BOUND_EXCEEDED: 2,
-    Verdict4.FALSIFIED_SAFETY: 3,
-})
+#: Alert precedence, lowest first: a session's reported verdict is the
+#: most severe verdict its two conjunct trackers justify, and a session
+#: keeps it as an index here.
+BY_SEVERITY = (Verdict4.INCONCLUSIVE, Verdict4.SATISFIED_SO_FAR,
+               Verdict4.LIVENESS_BOUND_EXCEEDED, Verdict4.FALSIFIED_SAFETY)
+SEVERITY = MappingProxyType({v: i for i, v in enumerate(BY_SEVERITY)})
+SEVERITY_NAMES = tuple(verdict.value for verdict in BY_SEVERITY)
 
 
 def most_severe(*verdicts: Verdict4) -> Verdict4:

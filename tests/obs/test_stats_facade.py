@@ -68,12 +68,13 @@ class TestFacade:
 
     def test_record_drain_equivalent_to_individual_adds(self):
         stats = EngineStats()
-        stats.record_drain(10, 8, 3, 1e-3)  # one group of three sessions
+        stats.record_drain(10, 8, 3, 1e-3)  # one batch over three sessions
         stats.record_drain(0, 0, 1, 0.0)
         assert stats.events.value == 10
         assert stats.steps.value == 8
         assert stats.drains.value == 4
-        # one latency sample per group; an event-less group records none
+        assert stats.batches.value == 2
+        # one latency sample per batch; an event-less batch records none
         assert stats.step_latency.count == 1
         assert stats.step_latency.sum == 1e-4  # elapsed / events
 
